@@ -109,6 +109,8 @@ void sweep_peer_level(Ctx& ctx, std::uint32_t len,
 }
 
 /// Remaining customer routes (length > k) in increasing length order.
+/// Order within one length is free: every candidate of a length-len route
+/// has length len-1, so it was fixed in an earlier bucket.
 void finish_customer_routes(Ctx& ctx) {
   BucketQueue& heap = ctx.frontier;
   heap.clear();
@@ -146,7 +148,8 @@ void finish_peer_routes(Ctx& ctx) {
   }
 }
 
-/// Provider routes: Dijkstra down from every fixed AS.
+/// Provider routes: Dijkstra down from every fixed AS. Order within one
+/// length is free for the same reason as in finish_customer_routes.
 void finish_provider_routes(Ctx& ctx) {
   BucketQueue& heap = ctx.frontier;
   heap.clear();

@@ -1,26 +1,23 @@
 // Monotone bucket (pigeonhole) queue for the engine's Dijkstra-style
 // stages.
 //
-// Stage frontiers order items by (length, AsId) where lengths are AS-path
-// hop counts bounded by the graph diameter, so a comparison-based heap is
+// Stage frontiers order items by length, where lengths are AS-path hop
+// counts bounded by the graph diameter, so a comparison-based heap is
 // overkill: an indexed array of per-length buckets gives O(1) pushes and
 // amortized O(1) pops, dropping the staged BFS from O((V+E) log V) toward
 // O(V+E). The queue owns its storage and is kept alive inside an
 // EngineWorkspace so bucket capacity survives across stages and queries.
 //
-// Pop order is *exactly* the (length, AsId) min-order of the FrontierHeap
-// it replaced (test-enforced against a reference heap on adversarial
-// interleavings): buckets drain in increasing length and each bucket in
-// increasing AsId. A bucket is sorted once when the drain cursor first
-// reaches it; a push into an already-opened bucket (the seeded engine's
-// DynamicSWSF-FP fixpoint can re-insert at the key being drained, or even
-// below it) is placed at its sorted position within the not-yet-popped
-// suffix, so pop() always returns the minimum of the items currently
-// present — the exact heap semantics, not just a monotone approximation.
+// Contract: pop() returns an item of the smallest length present, and
+// items of one length come out in insertion (FIFO) order. A push below the
+// drain cursor (the seeded engine's DynamicSWSF-FP fixpoint and restate
+// pass can push below the key they last popped) rewinds the cursor. No
+// caller depends on the order among equal lengths: every stage builds a
+// route of length L only from neighbors of length L-1, and picks next hops
+// in adjacency order, never in pop order.
 #ifndef SBGP_ROUTING_BUCKET_QUEUE_H
 #define SBGP_ROUTING_BUCKET_QUEUE_H
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <utility>
@@ -59,62 +56,38 @@ class BucketQueue {
     assert(len <= kInfLength);
     ++size_;
     if (len >= kInfLength) {
-      place(inf_bucket_, v);
+      inf_bucket_.items.push_back(v);
       return;
     }
     if (len >= buckets_.size()) buckets_.resize(len + 1);
     Bucket& b = buckets_[len];
-    if (b.items.empty() && !b.opened) used_.push_back(len);
-    place(b, v);
+    if (b.items.empty()) used_.push_back(len);
+    b.items.push_back(v);
     if (len < cur_) cur_ = len;  // backward push: rewind the drain cursor
   }
 
-  /// Removes and returns the smallest (length, AsId) item present.
+  /// Removes and returns the oldest item of the smallest length present.
   Item pop() {
     assert(size_ > 0);
     --size_;
     while (cur_ < buckets_.size()) {
       Bucket& b = buckets_[cur_];
-      if (b.head < b.items.size()) return {cur_, take(b)};
+      if (b.head < b.items.size()) return {cur_, b.items[b.head++]};
       ++cur_;
     }
     assert(inf_bucket_.head < inf_bucket_.items.size());
-    return {kInfLength, take(inf_bucket_)};
+    return {kInfLength, inf_bucket_.items[inf_bucket_.head++]};
   }
 
  private:
   struct Bucket {
     std::vector<topology::AsId> items;
     std::uint32_t head = 0;  // items[0, head) already popped
-    bool opened = false;     // suffix [head, end) kept sorted
   };
 
   static void reset_bucket(Bucket& b) {
     b.items.clear();
     b.head = 0;
-    b.opened = false;
-  }
-
-  /// Appends in O(1) while the bucket is unopened (it is sorted wholesale
-  /// when the cursor first reaches it); sorted-inserts into the remaining
-  /// suffix once opened, preserving min-order under mid-drain pushes.
-  static void place(Bucket& b, topology::AsId v) {
-    if (!b.opened) {
-      b.items.push_back(v);
-      return;
-    }
-    const auto it = std::lower_bound(
-        b.items.begin() + static_cast<std::ptrdiff_t>(b.head), b.items.end(),
-        v);
-    b.items.insert(it, v);
-  }
-
-  static topology::AsId take(Bucket& b) {
-    if (!b.opened) {
-      std::sort(b.items.begin(), b.items.end());
-      b.opened = true;
-    }
-    return b.items[b.head++];
   }
 
   std::vector<Bucket> buckets_;      // finite lengths; grown on demand

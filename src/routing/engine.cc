@@ -148,7 +148,8 @@ struct Candidates {
 /// FCR / FSCR: customer routes propagate from the roots up the
 /// customer->provider hierarchy; shortest are fixed first (Appendix B.2).
 /// With `secure_only`, only validating ASes and fully secure routes take
-/// part (FSCR).
+/// part (FSCR). Pop order within one length is free: every candidate of a
+/// length-len route has length len-1, so it was fixed in an earlier bucket.
 void customer_stage(Ctx& ctx, bool secure_only) {
   BucketQueue& heap = ctx.frontier;
   heap.clear();
@@ -227,7 +228,9 @@ void peer_stage(Ctx& ctx, bool secure_only) {
 
 /// FPrvR / FSPrvR: provider routes propagate down provider->customer edges
 /// from every already-fixed AS (all route types export to customers);
-/// shortest fixed first (Appendix B.2).
+/// shortest fixed first (Appendix B.2). Pop order within one length is
+/// free: every candidate of a length-len route has length len-1, so it was
+/// fixed in an earlier bucket.
 void provider_stage(Ctx& ctx, bool secure_only) {
   BucketQueue& heap = ctx.frontier;
   heap.clear();
@@ -528,9 +531,10 @@ void compute_routing_seeded_into(const AsGraph& g, const Query& q,
   // consumer). Customer-stage candidate lengths only shrink relative to
   // the baseline — the stage depends only on origins and the customer
   // hierarchy, and the attack merely adds the origin at m — so pushes
-  // carry final lengths and the heap pops each changed AS first at
+  // carry final lengths and the queue pops each changed AS first at
   // exactly its final stage length, when its whole final tie bucket is
-  // already final.
+  // already final. Pop order within one length is free for the same reason
+  // as in customer_stage: every candidate is one hop shorter.
   const auto push_neighbors = [&](AsId v) {
     if (!ctx.exports_up(v)) return;
     const std::uint32_t next_len = ctx.out.length(v) + 1u;
@@ -663,6 +667,8 @@ void compute_routing_seeded_into(const AsGraph& g, const Query& q,
   constexpr std::uint32_t kInf = kNoRouteLength;
 
   {
+    // The dist == rhs fixpoint does not depend on the order among equal
+    // keys, so FIFO order within a key is as good as any.
     BucketQueue& queue = ctx.frontier;
     queue.clear();
     const auto update = [&](AsId u) {
@@ -697,6 +703,9 @@ void compute_routing_seeded_into(const AsGraph& g, const Query& q,
   }
 
   {
+    // Order within one length is free: every member of a popped AS's
+    // provider tie bucket has a strictly smaller final length, so it is
+    // committed first.
     BucketQueue& restate = ctx.frontier;
     restate.clear();
     const auto add_restate = [&](AsId v) {

@@ -40,6 +40,7 @@ void perceivable_distances_into(const AsGraph& g, AsId root,
 
   // Customer routes: BFS up customer->provider edges. All hops comply with
   // Ex (each intermediate AS forwards a customer route, exportable to all).
+  // Both BFS blocks write distances only, so order within a length is free.
   {
     BucketQueue& heap = frontier;
     heap.clear();

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <queue>
+#include <algorithm>
+#include <deque>
+#include <map>
 #include <random>
 #include <vector>
 
@@ -12,23 +13,25 @@ namespace {
 
 using Item = BucketQueue::Item;
 
-/// Reference semantics the bucket queue must reproduce exactly: a binary
-/// min-heap over (length, AsId), i.e. the FrontierHeap it superseded.
-class ReferenceHeap {
+/// Reference semantics the bucket queue must reproduce exactly: one FIFO
+/// per length, popping the oldest item of the smallest length present.
+class ReferenceFifo {
  public:
-  void push(std::uint32_t len, topology::AsId v) { pq_.emplace(len, v); }
-  [[nodiscard]] bool empty() const { return pq_.empty(); }
+  void push(std::uint32_t len, topology::AsId v) { fifos_[len].push_back(v); }
+  [[nodiscard]] bool empty() const { return fifos_.empty(); }
   Item pop() {
-    const Item top = pq_.top();
-    pq_.pop();
-    return top;
+    const auto it = fifos_.begin();
+    const Item front{it->first, it->second.front()};
+    it->second.pop_front();
+    if (it->second.empty()) fifos_.erase(it);
+    return front;
   }
 
  private:
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq_;
+  std::map<std::uint32_t, std::deque<topology::AsId>> fifos_;
 };
 
-TEST(BucketQueue, PopsInLengthThenIdOrder) {
+TEST(BucketQueue, PopsInLengthThenInsertionOrder) {
   BucketQueue q;
   q.push(3, 7);
   q.push(1, 9);
@@ -36,11 +39,11 @@ TEST(BucketQueue, PopsInLengthThenIdOrder) {
   q.push(1, 4);
   q.push(2, 0);
   EXPECT_EQ(q.size(), 5u);
-  EXPECT_EQ(q.pop(), (Item{1, 4}));
   EXPECT_EQ(q.pop(), (Item{1, 9}));
+  EXPECT_EQ(q.pop(), (Item{1, 4}));
   EXPECT_EQ(q.pop(), (Item{2, 0}));
-  EXPECT_EQ(q.pop(), (Item{3, 2}));
   EXPECT_EQ(q.pop(), (Item{3, 7}));
+  EXPECT_EQ(q.pop(), (Item{3, 2}));
   EXPECT_TRUE(q.empty());
 }
 
@@ -61,23 +64,23 @@ TEST(BucketQueue, InfLengthKeysComeLast) {
   q.push(BucketQueue::kInfLength, 1);
   q.push(200, 9);
   EXPECT_EQ(q.pop(), (Item{200, 9}));
-  EXPECT_EQ(q.pop(), (Item{BucketQueue::kInfLength, 1}));
   EXPECT_EQ(q.pop(), (Item{BucketQueue::kInfLength, 3}));
+  EXPECT_EQ(q.pop(), (Item{BucketQueue::kInfLength, 1}));
   EXPECT_TRUE(q.empty());
 }
 
 TEST(BucketQueue, PushIntoCurrentlyDrainingBucket) {
   // The seeded SWSF-FP fixpoint re-inserts at the key being drained: the
-  // new item must pop in id order within the remaining suffix.
+  // new items join the back of that length's FIFO.
   BucketQueue q;
   q.push(4, 10);
   q.push(4, 30);
   EXPECT_EQ(q.pop(), (Item{4, 10}));
-  q.push(4, 20);  // mid-drain push into the open bucket
-  q.push(4, 5);   // below the already-popped id: still belongs to length 4
-  EXPECT_EQ(q.pop(), (Item{4, 5}));
-  EXPECT_EQ(q.pop(), (Item{4, 20}));
+  q.push(4, 20);  // mid-drain push into the bucket being drained
+  q.push(4, 5);   // below the already-popped id: still after 30 and 20
   EXPECT_EQ(q.pop(), (Item{4, 30}));
+  EXPECT_EQ(q.pop(), (Item{4, 20}));
+  EXPECT_EQ(q.pop(), (Item{4, 5}));
   EXPECT_TRUE(q.empty());
 }
 
@@ -112,16 +115,16 @@ TEST(BucketQueue, ClearResetsForReuse) {
 }
 
 /// Randomized equivalence: interleave pushes and pops adversarially and
-/// require the bucket queue's pop sequence to match the reference heap
+/// require the bucket queue's pop sequence to match the reference FIFOs
 /// item-for-item. Lengths are drawn from a narrow band around the last
 /// popped key so duplicate lengths, same-bucket re-pushes and
 /// decrease-by-repush (a lower key pushed for an id already queued at a
 /// higher one) all occur constantly.
-TEST(BucketQueue, MatchesReferenceHeapOnAdversarialInterleavings) {
+TEST(BucketQueue, MatchesReferenceFifoOnAdversarialInterleavings) {
   for (std::uint32_t seed = 0; seed < 16; ++seed) {
     std::mt19937 rng(20130812u + seed);
     BucketQueue q;
-    ReferenceHeap ref;
+    ReferenceFifo ref;
     std::uint32_t last_key = 8;  // band center; tracks popped keys
 
     const auto push_both = [&](std::uint32_t len, topology::AsId v) {
@@ -178,7 +181,7 @@ TEST(BucketQueue, MatchesReferenceAcrossClears) {
   BucketQueue q;  // one queue reused across rounds, like a workspace's
   for (int round = 0; round < 50; ++round) {
     q.clear();
-    ReferenceHeap ref;
+    ReferenceFifo ref;
     const int n = 1 + static_cast<int>(rng() % 64);
     for (int i = 0; i < n; ++i) {
       const std::uint32_t len =
@@ -187,6 +190,13 @@ TEST(BucketQueue, MatchesReferenceAcrossClears) {
       q.push(len, v);
       ref.push(len, v);
     }
+    // Pop part of the round, so the next clear() meets half-drained
+    // buckets as well as untouched ones.
+    const int drain = static_cast<int>(rng() % static_cast<unsigned>(n + 1));
+    for (int i = 0; i < drain; ++i) {
+      ASSERT_EQ(q.pop(), ref.pop()) << "round " << round;
+    }
+    if (round % 2 == 0) continue;
     while (!ref.empty()) {
       ASSERT_EQ(q.pop(), ref.pop()) << "round " << round;
     }

@@ -423,6 +423,12 @@ TEST(CampaignCache, KeyFingerprintIsStableAndSensitive) {
   EXPECT_NE(fp, cache_key_fingerprint({111, 222, 334}));
 }
 
+TEST(CampaignCache, EntryNameFormatIsPinned) {
+  // Existing caches hit only while this spelling holds byte for byte.
+  EXPECT_EQ(cache_entry_name({0x1, 0xfedcba9876543210ull, 0xabc}),
+            "t0000000000000001-sfedcba9876543210-e0000000000000abc.csv");
+}
+
 TEST(CampaignCache, CorruptedEntryIsRecomputedEndToEnd) {
   const TempDir dir;
   const CampaignSpec campaign = cached_campaign(dir.str());

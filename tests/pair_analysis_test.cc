@@ -272,11 +272,11 @@ TEST(SweepPlanTest, AnalyzeSweepRejectsBadPlans) {
   EXPECT_THROW((void)analyze_sweep(topo.graph, SweepPlan{}, cfg, dep),
                std::invalid_argument);
   SweepPlan pairless;
-  pairless.groups.push_back({7, 0, {}});
+  pairless.groups.push_back({7, 0, {}, {}});
   EXPECT_THROW((void)analyze_sweep(topo.graph, pairless, cfg, dep),
                std::invalid_argument);
   SweepPlan self_attack;
-  self_attack.groups.push_back({7, 0, {7, 8}});
+  self_attack.groups.push_back({7, 0, {7, 8}, {}});
   EXPECT_THROW((void)analyze_sweep(topo.graph, self_attack, cfg, dep),
                std::invalid_argument);
 }

@@ -13,10 +13,13 @@
 #include "routing/baseline.h"
 #include "routing/engine.h"
 #include "routing/model.h"
+#include "routing/reach.h"
 #include "routing/reference.h"
 #include "routing/workspace.h"
 #include "test_support.h"
 #include "topology/generator.h"
+#include "topology/registry.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace sbgp::routing {
@@ -366,6 +369,72 @@ TEST(EquivalenceSimplex, SimplexDeploymentMatches) {
     ASSERT_TRUE(ref.run(q, 9).converged);
     expect_equivalent(g, eng, ref, q, std::string(to_string(model)));
   }
+}
+
+// --- Golden outcome digest ---------------------------------------------------
+
+void mix_outcome(util::Fingerprint& fp, const RoutingOutcome& o) {
+  fp.mix(static_cast<std::uint64_t>(o.num_ases()));
+  for (AsId v = 0; v < o.num_ases(); ++v) {
+    fp.mix(static_cast<std::uint64_t>(o.packed_word(v)));
+    fp.mix(static_cast<std::uint64_t>(o.next_toward(v, true)));
+    fp.mix(static_cast<std::uint64_t>(o.next_toward(v, false)));
+  }
+}
+
+void mix_distances(util::Fingerprint& fp, const PerceivableDistances& dist) {
+  for (const auto* column : {&dist.customer, &dist.peer, &dist.provider}) {
+    fp.mix(static_cast<std::uint64_t>(column->size()));
+    for (const std::uint16_t len : *column) {
+      fp.mix(static_cast<std::uint64_t>(len));
+    }
+  }
+}
+
+TEST(EngineGolden, OutcomeDigestsArePinned) {
+  // The equivalence suites above compare tie-invariant fields or one engine
+  // against another, so none of them notices a changed representative next
+  // hop. This digest pins every byte every engine produces — packed words
+  // and both next-hop arrays — on a fixed tiny-500 sample, so a change to
+  // frontier order or tie handling that moves any next hop fails here.
+  const auto topo = topology::generate_trial("tiny-500", 20130812, 0);
+  const AsGraph& g = topo.graph;
+  const auto n = static_cast<std::uint32_t>(g.num_ases());
+  util::Rng rng(2013);
+  const Deployment dep = random_deployment(n, 0.4, rng);
+  EngineWorkspace ws(n);
+  RoutingOutcome normal, attacked, seeded, hyst, base;
+  util::Fingerprint fp;
+  for (int di = 0; di < 8; ++di) {
+    const auto d = static_cast<AsId>(rng.next_below(n));
+    for (int mi = 0; mi < 8; ++mi) {
+      auto m = static_cast<AsId>(rng.next_below(n));
+      if (m == d) m = (m + 1) % n;
+      for (const SecurityModel model : kAllSecurityModels) {
+        const Query q{d, m, model};
+        compute_routing_into(g, {d, kNoAs, model}, dep, ws, normal);
+        compute_routing_into(g, q, dep, ws, attacked);
+        mix_outcome(fp, normal);
+        mix_outcome(fp, attacked);
+        if (routing_seed_applicable(q, dep)) {
+          compute_routing_seeded_into(g, q, dep, ws, normal, seeded);
+          mix_outcome(fp, seeded);
+        }
+        compute_routing_with_hysteresis_into(g, q, dep, ws, normal, hyst);
+        mix_outcome(fp, hyst);
+      }
+      for (const LocalPrefPolicy lp :
+           {LocalPrefPolicy::standard(), LocalPrefPolicy::lp_k(2)}) {
+        compute_baseline_into(g, d, kNoAs, lp, ws, base);
+        mix_outcome(fp, base);
+        compute_baseline_into(g, d, m, lp, ws, base);
+        mix_outcome(fp, base);
+      }
+      mix_distances(fp, perceivable_distances(g, d));
+      mix_distances(fp, perceivable_distances(g, m, 1));
+    }
+  }
+  EXPECT_EQ(fp.value(), 0x5b7209710216435eull);
 }
 
 }  // namespace
