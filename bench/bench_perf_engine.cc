@@ -401,13 +401,13 @@ BENCHMARK(BM_CampaignAdaptive)->Arg(4)->Arg(16)
 
 // --- Destination-grouped incremental sweep vs. flat full recompute ---------
 //
-// The PR-6 sweep redesign: analyze_sweep schedules whole destination
-// groups so each worker computes the attacker-independent baselines once
-// per destination and derives every admissible attacked outcome from them
-// with the seeded engine (routing::compute_routing_seeded_into). The flat
-// path is the historical behavior: pairs in arbitrary order, every routing
-// outcome recomputed from scratch (sweep context 0). Identical executor,
-// analyses and pair set — compare items_per_second (pairs/sec) directly.
+// analyze_sweep schedules one destination with a chunk of up to 32 of its
+// attackers per unit: each worker computes the normal outcome once per
+// destination and every attacked outcome of the chunk in one lane pass
+// (routing/lanes.h). The flat path runs pairs in arbitrary order, each as
+// a group of one with nothing cached (sweep context 0). Identical
+// executor, analyses and pair set — compare items_per_second (pairs/sec)
+// directly.
 // Args: (registry topology size: 500, 2000 or 8000).
 
 struct SweepBenchSetup {
@@ -422,7 +422,7 @@ SweepBenchSetup sweep_setup(std::int64_t n) {
   const auto& topo = registry_topo(n);
   sim::PairAnalysisConfig cfg;
   // Three analyses wanting attacked + normal + attacked-under-empty: every
-  // outcome the destination-grouped cache can amortize or seed.
+  // outcome the destination grouping can amortize.
   cfg.analyses = sim::Analysis::kHappiness | sim::Analysis::kCollateral |
                  sim::Analysis::kRootCause;
   cfg.model = routing::SecurityModel::kSecurityThird;

@@ -30,6 +30,13 @@ using topology::AsGraph;
 /// Length value meaning "no route".
 inline constexpr std::uint16_t kNoRouteLength = 0xFFFF;
 
+/// Bits of a per-AS flag byte: everything the per-pair analyses read of a
+/// stable state (RoutingOutcome::flags_into, LanePass::flags_into).
+inline constexpr std::uint8_t kFlagRouted = 1u << 0;  // has a route
+inline constexpr std::uint8_t kFlagReachD = 1u << 1;  // some best route to d
+inline constexpr std::uint8_t kFlagReachM = 1u << 2;  // some best route to m
+inline constexpr std::uint8_t kFlagSecure = 1u << 3;  // the route is secure
+
 /// Stable routing state for one (d, m, S, model) instance.
 ///
 /// All per-AS attributes below are invariant under intradomain tie-breaking
@@ -95,6 +102,18 @@ class RoutingOutcome {
     return word_[v];
   }
 
+  /// Writes every AS's flag byte (kFlag*) into `out`, resized to
+  /// num_ases().
+  void flags_into(std::vector<std::uint8_t>& out) const {
+    out.resize(word_.size());
+    for (std::size_t v = 0; v < word_.size(); ++v) {
+      const std::uint32_t w = word_[v];
+      out[v] = static_cast<std::uint8_t>(
+          ((w & kTypeMask) != 0 ? kFlagRouted : 0u) |
+          ((w >> kFlagShift) & (kFlagReachD | kFlagReachM | kFlagSecure)));
+    }
+  }
+
   [[nodiscard]] HappyStatus happy(AsId v) const noexcept {
     if (!has_route(v)) return HappyStatus::kDisconnected;
     const bool d = reaches_destination(v);
@@ -138,6 +157,11 @@ class RoutingOutcome {
   static constexpr std::uint32_t kReachM = 1u << 4;
   static constexpr std::uint32_t kSecure = 1u << 5;
   static constexpr std::uint32_t kLengthShift = 16;     // bits 16-31
+  // The three flag bits sit two places above their kFlag* counterparts.
+  static constexpr std::uint32_t kFlagShift = 2;
+  static_assert(kReachD >> kFlagShift == kFlagReachD &&
+                kReachM >> kFlagShift == kFlagReachM &&
+                kSecure >> kFlagShift == kFlagSecure);
   /// kNone route, no flags, kNoRouteLength — the all-unfixed state.
   static constexpr std::uint32_t kUnfixedWord =
       static_cast<std::uint32_t>(kNoRouteLength) << kLengthShift;
@@ -205,12 +229,13 @@ void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
                                           const RoutingOutcome& normal,
                                           RoutingOutcome& result);
 
-// --- Seeded / incremental routing (destination-grouped sweeps) -------------
+// --- Seeded / incremental routing ------------------------------------------
 //
-// A sweep evaluates many attackers against the same destination. The
-// no-attack outcome of {d, kNoAs, model} is attacker-independent, and
-// compute_routing_seeded_into re-derives the attacked state from that
-// cached baseline instead of from scratch:
+// The no-attack outcome of {d, kNoAs, model} is attacker-independent, and
+// compute_routing_seeded_into re-derives one attacked state from that
+// baseline instead of from scratch. (The per-pair pipeline no longer calls
+// it: a destination group's attacked states come from one lane pass,
+// routing/lanes.h. It stays as the benchmark's seeded-delta rung.)
 //
 //  * Customer stage: monotone delta. The stage depends only on origins
 //    and the customer hierarchy, and the attack merely adds the origin
@@ -239,9 +264,9 @@ void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
 // node, which can displace secure routes); callers must fall back to the
 // full engine there.
 
-/// True if compute_routing_seeded_into may serve this attacked query:
-/// q.under_attack() and no secure stage runs (kInsecure / kSecurityThird,
-/// or an unsigned origin), per the staging argument above.
+/// True if compute_routing_seeded_into — and a LanePass — may serve this
+/// attacked query: q.under_attack() and no secure stage runs (kInsecure /
+/// kSecurityThird, or an unsigned origin), per the staging argument above.
 [[nodiscard]] bool routing_seed_applicable(const Query& q,
                                            const Deployment& deployment);
 

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "topology/types.h"
 #include "util/as_set.h"
@@ -108,6 +109,11 @@ struct Deployment {
   /// Can `v`'s *origin* announcement be the start of a secure route?
   [[nodiscard]] bool signs_origin(AsId v) const noexcept {
     return secure.contains(v) || simplex.contains(v);
+  }
+  /// Writes signs_origin(v) as one byte per AS v in [0, n) into `out`.
+  void signers_into(std::size_t n, std::vector<std::uint8_t>& out) const {
+    out.resize(n);
+    for (AsId v = 0; v < n; ++v) out[v] = signs_origin(v) ? 1 : 0;
   }
 };
 

@@ -6,12 +6,13 @@ void EngineWorkspace::reserve(std::size_t num_ases) {
   primary.reset(num_ases);
   normal.reset(num_ases);
   baseline.reset(num_ases);
-  attacked_empty.reset(num_ases);
   dest_baseline.normal.reset(num_ases);
-  dest_baseline.insecure_empty.reset(num_ases);
   dest_baseline.context = 0;
   dest_baseline.has_normal = false;
-  dest_baseline.has_insecure_empty = false;
+  attacked_flags.reserve(num_ases);
+  normal_flags.reserve(num_ases);
+  empty_flags.reserve(num_ases);
+  signer_flags.reserve(num_ases);
   fixed.reserve(num_ases);
   touched.reserve(num_ases);
   changed.reserve(num_ases);

@@ -17,6 +17,7 @@
 
 #include "routing/bucket_queue.h"
 #include "routing/engine.h"
+#include "routing/lanes.h"
 #include "routing/reach.h"
 
 namespace sbgp::routing {
@@ -31,14 +32,10 @@ struct DestBaselineSlot {
   std::uint64_t context = 0;  // sweep-context token; 0 = empty slot
   AsId destination = kNoAs;
   bool has_normal = false;
-  bool has_insecure_empty = false;
   /// Outcome of {destination, kNoAs, model} under the sweep's deployment —
-  /// the `normal` outcome every analysis of the group shares, and the seed
-  /// for compute_routing_seeded_into when the model admits it.
+  /// the `normal` outcome every analysis of the group shares, and the
+  /// pre-attack state the hysteresis engine pins routes from.
   RoutingOutcome normal;
-  /// Outcome of {destination, kNoAs, kInsecure} under S = emptyset — the
-  /// seed for the S = emptyset *attacked* outcome (always seedable).
-  RoutingOutcome insecure_empty;
 };
 
 /// Long-lived scratch state for routing computations. Not thread-safe: one
@@ -59,11 +56,15 @@ struct DestBaselineSlot {
 ///   - `baseline` is owned by the partition analysis
 ///     (security::PartitionContext computes the S = emptyset attacked
 ///     state there for the 2nd/3rd models).
-///   - `attacked_empty` exists so the S = emptyset attacked outcome can
-///     coexist with a live PartitionContext.
 ///   - `dest_baseline` is owned by the destination-grouped sweep
-///     (sim::accumulate_pair_into with a non-zero sweep context); no
+///     (sim::accumulate_group_into with a non-zero sweep context); no
 ///     engine entry point touches it implicitly.
+///   - `lanes` holds the lane pass of sim::accumulate_group_into's group;
+///     only that function runs it.
+///   - The flag views (`attacked_flags`, `normal_flags`, `empty_flags`,
+///     `signer_flags`) hold the per-AS bytes of the pair being counted;
+///     the pipeline and the security analyze_* functions write them right
+///     before counting.
 ///   - A `result` argument passed to any *_into entry point must not alias
 ///     a slot the same call reads or clobbers (asserted where cheap).
 /// Scratch members (`fixed`, `frontier`, `frontier2`, `touched`, `changed`,
@@ -82,18 +83,21 @@ class EngineWorkspace {
   // --- Result slots -----------------------------------------------------
   // The engine computes into `primary` unless told otherwise; multi-outcome
   // analyses use `normal` (pre-attack state) and `baseline` (S = emptyset
-  // state) so one workspace covers every security analysis. The fused
-  // pair-analysis pipeline (sim/pair_analysis.h) additionally needs the
-  // S = emptyset *attacked* outcome to coexist with the partition
-  // classification state (which owns `baseline`), hence `attacked_empty`.
+  // state) so one workspace covers every security analysis.
   RoutingOutcome primary;
   RoutingOutcome normal;
   RoutingOutcome baseline;
-  RoutingOutcome attacked_empty;
 
   /// Attacker-independent per-destination cache for grouped sweeps (see
   /// DestBaselineSlot above).
   DestBaselineSlot dest_baseline;
+
+  // --- Lane pass and flag views (sim/pair_analysis.h) -------------------
+  LanePass lanes;  // every attacked state of one destination group
+  std::vector<std::uint8_t> attacked_flags;  // attacked, under S
+  std::vector<std::uint8_t> normal_flags;    // no attack, under S
+  std::vector<std::uint8_t> empty_flags;     // attacked, S = emptyset
+  std::vector<std::uint8_t> signer_flags;    // Deployment::signers_into
 
   // --- Staged-BFS engine scratch ---------------------------------------
   std::vector<std::uint8_t> fixed;  // per-AS "route fixed" flags

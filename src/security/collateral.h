@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "routing/engine.h"
 #include "routing/model.h"
@@ -57,9 +58,16 @@ struct CollateralStats {
   [[nodiscard]] bool operator==(const CollateralStats&) const = default;
 };
 
-/// Compares a baseline outcome (computed with S = emptyset) against the
-/// outcome under deployment `dep`, counting flips among sources that are
-/// neither secure nor simplex members of the deployment.
+/// Compares the flag view of a baseline outcome (computed with
+/// S = emptyset) against the view under a deployment, counting flips among
+/// sources that do not sign (signers[v] == 0: neither secure nor simplex
+/// members of the deployment, Deployment::signers_into).
+[[nodiscard]] CollateralStats count_collateral(
+    std::span<const std::uint8_t> baseline,
+    std::span<const std::uint8_t> deployed,
+    std::span<const std::uint8_t> signers, routing::AsId d, routing::AsId m);
+
+/// count_collateral over the two outcomes' flag views and `dep`'s signers.
 [[nodiscard]] CollateralStats count_collateral(const RoutingOutcome& baseline,
                                                const RoutingOutcome& deployed,
                                                const Deployment& dep,

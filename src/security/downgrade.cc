@@ -1,5 +1,7 @@
 #include "security/downgrade.h"
 
+#include <cassert>
+
 #include "routing/workspace.h"
 
 namespace sbgp::security {
@@ -21,13 +23,13 @@ DowngradeStats analyze_downgrades(const AsGraph& g, AsId d, AsId m,
   const PartitionContext partition(g, d, m, model,
                                    routing::LocalPrefPolicy::standard(), ws);
 
+  ws.normal.flags_into(ws.normal_flags);
+  ws.primary.flags_into(ws.attacked_flags);
   PairOutcomes po;
-  po.g = &g;
   po.d = d;
   po.m = m;
-  po.dep = &dep;
-  po.normal = &ws.normal;
-  po.attacked = &ws.primary;
+  po.normal = ws.normal_flags;
+  po.attacked = ws.attacked_flags;
   po.partition = &partition;
   DowngradeStats s;
   accumulate_into(po, s);
@@ -35,23 +37,26 @@ DowngradeStats analyze_downgrades(const AsGraph& g, AsId d, AsId m,
 }
 
 void accumulate_into(const PairOutcomes& po, DowngradeStats& acc) {
-  const routing::RoutingOutcome& normal = *po.normal;
-  const routing::RoutingOutcome& attacked = *po.attacked;
+  const std::span<const std::uint8_t> normal = po.normal;
+  const std::span<const std::uint8_t> attacked = po.attacked;
+  assert(normal.size() == attacked.size() && po.partition != nullptr);
   const PartitionContext& partition = *po.partition;
-  for (AsId v = 0; v < po.g->num_ases(); ++v) {
-    if (v == po.d || v == po.m) continue;
-    ++acc.sources;
-    const bool before = normal.secure_route(v);
-    const bool during = attacked.secure_route(v);
-    if (before) ++acc.secure_normal;
-    if (before && !during) ++acc.downgraded;
-    if (during) {
-      ++acc.secure_kept;
-      if (partition.classify(v) == PartitionClass::kImmune) {
-        ++acc.kept_and_immune;
-      }
+  DowngradeStats s;
+  for_each_source(attacked.size(), po.d, po.m, [&](std::size_t v) {
+    const std::size_t before = secure_flag(normal[v]);
+    const std::size_t during = secure_flag(attacked[v]);
+    ++s.sources;
+    s.secure_normal += before;
+    s.downgraded += before & (during ^ 1u);
+    s.secure_kept += during;
+    // Classifying costs a neighbour scan in security 2nd, so only the
+    // ASes that kept a secure route pay for it.
+    if (during != 0) {
+      s.kept_and_immune += partition.classify(static_cast<AsId>(v)) ==
+                           PartitionClass::kImmune;
     }
-  }
+  });
+  acc += s;
 }
 
 }  // namespace sbgp::security

@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "routing/engine.h"
 #include "routing/model.h"
@@ -39,9 +40,14 @@ struct HappyCount {
   }
 };
 
-/// Counts happy sources in `out` for the attack (m on d). ASes with no
-/// route are never happy. `m` may be kNoAs (normal conditions), in which
-/// case happiness means reaching d and sources = |V| - 1.
+/// Counts happy sources in a flag view (routing::kFlag* bytes) for the
+/// attack (m on d). ASes with no route are never happy. `m` may be kNoAs
+/// (normal conditions), in which case happiness means reaching d and
+/// sources = |V| - 1.
+[[nodiscard]] HappyCount count_happy(std::span<const std::uint8_t> flags,
+                                     AsId d, AsId m);
+
+/// count_happy over `out`'s flag view.
 [[nodiscard]] HappyCount count_happy(const RoutingOutcome& out, AsId d, AsId m);
 
 /// Exact integer totals of happy-source counts over many pairs — the

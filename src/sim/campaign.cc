@@ -7,8 +7,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "sim/batch_executor.h"
 #include "sim/campaign_cache.h"
@@ -450,21 +452,26 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
 
     // Unit layout of the wave's submission: indices [0, num_prep) prepare
     // the active trials (generate + classify + resolve every scheduled
-    // spec); the rest are per-pair units, one active (trial, spec) cell
-    // after another, each cell spanning the requested attackers x
-    // destinations grid. Grid slots that sampling left empty or where
-    // attacker == destination are skipped, exactly like make_sweep_plan.
-    // Prep units sit at the lowest indices and chunks are handed out in
-    // index order, so every prep is claimed (and being executed) before
-    // any worker can block on its trial's readiness — pair analysis of
-    // trial t overlaps generation of trials t+1...
+    // spec); the rest are group units, one active (trial, spec) cell after
+    // another. A cell has num_lane_chunks(num_attackers) units per
+    // requested destination — analyze_sweep's unit: one destination with
+    // an even chunk of at most kLaneWidth of its attackers. Destinations
+    // that sampling left empty are skipped, and attacker == destination is
+    // dropped from the group, exactly like make_sweep_plan. Prep units sit
+    // at the lowest indices and chunks are handed out in index order, so
+    // every prep is claimed (and being executed) before any worker can
+    // block on its trial's readiness — pair analysis of trial t overlaps
+    // generation of trials t+1...
+    const auto cell_units = [&](std::size_t k) {
+      const auto& spec =
+          campaign.experiments[wave_cells[active_slots[k]] % num_specs];
+      return num_lane_chunks(spec.num_attackers) * spec.num_destinations;
+    };
     std::vector<std::size_t> cell_end(num_active);
     {
       std::size_t unit = num_prep;
       for (std::size_t k = 0; k < num_active; ++k) {
-        const auto& spec =
-            campaign.experiments[wave_cells[active_slots[k]] % num_specs];
-        unit += spec.num_attackers * spec.num_destinations;
+        unit += cell_units(k);
         cell_end[k] = unit;
       }
     }
@@ -473,6 +480,12 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
 
     std::vector<std::vector<PairStats>> accs(
         workers, std::vector<PairStats>(num_active));
+    // Per-worker scratch for a unit's attacker chunk and its pair weights.
+    struct GroupBuffer {
+      std::vector<AsId> attackers;
+      std::vector<std::uint64_t> weights;
+    };
+    std::vector<GroupBuffer> group_buffers(workers);
 
     // One sweep-context token per active cell: all pairs of a cell share
     // the trial graph, deployment and config, so their per-destination
@@ -492,10 +505,7 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
     std::vector<std::atomic<std::size_t>> cell_remaining(num_active);
     std::vector<std::atomic<bool>> cell_failed(num_active);
     for (std::size_t k = 0; k < num_active; ++k) {
-      const auto& spec =
-          campaign.experiments[wave_cells[active_slots[k]] % num_specs];
-      cell_remaining[k].store(spec.num_attackers * spec.num_destinations,
-                              std::memory_order_relaxed);
+      cell_remaining[k].store(cell_units(k), std::memory_order_relaxed);
       cell_failed[k].store(false, std::memory_order_relaxed);
     }
 
@@ -601,20 +611,29 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
         const ResolvedExperiment& re = st.resolved[cell % num_specs];
         // Destination-major slot order: consecutive units of a cell share
         // a destination, so chunked workers hit the workspace's
-        // per-destination baseline cache. The skip rules match
-        // make_sweep_plan exactly.
-        const std::size_t grid_rows =
-            campaign.experiments[cell % num_specs].num_attackers;
-        const std::size_t a = slot % grid_rows;
-        const std::size_t d = slot / grid_rows;
-        if (a < re.attackers.size() && d < re.destinations.size() &&
-            re.attackers[a] != re.destinations[d]) {
-          const std::uint64_t w =
-              pair_weight(re.traffic, re.attackers[a], re.destinations[d]);
-          accumulate_pair_into(st.topo.graph, re.destinations[d],
-                               re.attackers[a], re.cfg, *re.deployment,
-                               exec.workspace(worker), cell_tokens[k], w,
-                               accs[worker][k]);
+        // per-destination cache.
+        const std::size_t chunks = num_lane_chunks(
+            campaign.experiments[cell % num_specs].num_attackers);
+        const std::size_t d = slot / chunks;
+        if (d < re.destinations.size()) {
+          const AsId dest = re.destinations[d];
+          GroupBuffer& buf = group_buffers[worker];
+          buf.attackers.clear();
+          for (const AsId m : re.attackers) {
+            if (m != dest) buf.attackers.push_back(m);
+          }
+          const auto [begin, end] =
+              lane_chunk(buf.attackers.size(), chunks, slot % chunks);
+          buf.weights.clear();
+          for (std::size_t i = begin; i < end; ++i) {
+            buf.weights.push_back(
+                pair_weight(re.traffic, buf.attackers[i], dest));
+          }
+          accumulate_group_into(
+              st.topo.graph, dest,
+              std::span<const AsId>(buf.attackers).subspan(begin, end - begin),
+              buf.weights, re.cfg, *re.deployment, exec.workspace(worker),
+              cell_tokens[k], accs[worker][k]);
         }
         finish_unit(k);
       } catch (...) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -93,157 +94,163 @@ std::uint64_t next_sweep_context() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+void accumulate_group_into(const AsGraph& g, AsId d,
+                           std::span<const AsId> attackers,
+                           std::span<const std::uint64_t> weights,
+                           const PairAnalysisConfig& cfg,
+                           const Deployment& dep, routing::EngineWorkspace& ws,
+                           std::uint64_t sweep_context, PairStats& acc) {
+  if (cfg.analyses.empty()) {
+    throw std::invalid_argument("accumulate_group_into: empty analysis set");
+  }
+  if (attackers.size() > routing::kLaneWidth) {
+    throw std::invalid_argument(
+        "accumulate_group_into: more attackers than lanes");
+  }
+  if (!weights.empty() && weights.size() != attackers.size()) {
+    throw std::invalid_argument(
+        "accumulate_group_into: weights do not match the attackers");
+  }
+  for (const AsId m : attackers) {
+    if (m == d) {
+      throw std::invalid_argument(
+          "accumulate_group_into: attacker == destination");
+    }
+  }
+  if (attackers.empty()) return;
+
+  const bool wants_attacked = cfg.analyses.intersects(kNeedsAttacked);
+  const bool wants_normal = cfg.analyses.intersects(kNeedsNormal);
+  const bool wants_empty = cfg.analyses.intersects(kNeedsAttackedEmpty);
+  const bool wants_partitions = cfg.analyses.contains(Analysis::kPartitions);
+  const bool wants_downgrades = cfg.analyses.contains(Analysis::kDowngrades);
+  const bool lp_standard = cfg.lp.kind == LocalPrefPolicy::Kind::kStandard;
+
+  // The normal outcome, from the per-destination cache when a sweep
+  // context is given. A hit requires the exact (token, d) pair; the token
+  // is minted per sweep, so deployments, configs and graphs can never be
+  // confused across calls.
+  const routing::RoutingOutcome* normal = nullptr;
+  if (wants_normal || (wants_attacked && cfg.hysteresis)) {
+    const routing::Query nq{d, routing::kNoAs, cfg.model};
+    routing::DestBaselineSlot& db = ws.dest_baseline;
+    if (sweep_context == 0) {
+      routing::compute_routing_into(g, nq, dep, ws, ws.normal);
+      normal = &ws.normal;
+    } else {
+      if (db.context != sweep_context || db.destination != d ||
+          !db.has_normal) {
+        db.context = sweep_context;
+        db.destination = d;
+        routing::compute_routing_into(g, nq, dep, ws, db.normal);
+        db.has_normal = true;
+      }
+      normal = &db.normal;
+    }
+    if (wants_normal) normal->flags_into(ws.normal_flags);
+  }
+  // Collateral and root cause, the analyses that read the S = emptyset
+  // state, also read which ASes sign.
+  if (wants_empty) dep.signers_into(g.num_ases(), ws.signer_flags);
+
+  // One lane pass serves every attacked state the skeleton admits: under S
+  // where no secure stage runs (and hysteresis is off), and always under
+  // S = emptyset. A pass run only for the latter uses the insecure model.
+  const bool attacked_in_lanes =
+      wants_attacked && !cfg.hysteresis &&
+      routing::routing_seed_applicable({d, attackers[0], cfg.model}, dep);
+  if (attacked_in_lanes || wants_empty) {
+    ws.lanes.run(g, d, attackers,
+                 attacked_in_lanes ? cfg.model : SecurityModel::kInsecure, dep);
+  }
+
+  for (std::size_t k = 0; k < attackers.size(); ++k) {
+    const AsId m = attackers[k];
+    const std::uint64_t weight = weights.empty() ? 1 : weights[k];
+    ++acc.pairs;
+    acc.weight += weight;
+
+    security::PairOutcomes po;
+    po.d = d;
+    po.m = m;
+    po.signers = ws.signer_flags;
+    if (wants_attacked) {
+      if (attacked_in_lanes) {
+        ws.lanes.flags_into(k, routing::LanePass::View::kDeployment,
+                            ws.attacked_flags);
+      } else {
+        const routing::Query q{d, m, cfg.model};
+        if (cfg.hysteresis) {
+          // Hysteresis pins routes of the pre-attack state.
+          routing::compute_routing_with_hysteresis_into(g, q, dep, ws, *normal,
+                                                        ws.primary);
+        } else {
+          routing::compute_routing_into(g, q, dep, ws, ws.primary);
+        }
+        ws.primary.flags_into(ws.attacked_flags);
+      }
+      po.attacked = ws.attacked_flags;
+    }
+    if (wants_normal) po.normal = ws.normal_flags;
+    if (wants_empty) {
+      ws.lanes.flags_into(k, routing::LanePass::View::kEmpty, ws.empty_flags);
+      po.attacked_empty = ws.empty_flags;
+    }
+
+    // The partition state owns ws.baseline (or the reach buffers for
+    // security 1st), which nothing above reads.
+    std::optional<security::PartitionContext> partition;
+    if (wants_partitions) {
+      partition.emplace(g, d, m, cfg.model, cfg.lp, ws);
+      po.partition = &*partition;
+      security::PartitionCounts local;
+      security::accumulate_into(po, local);
+      acc.partitions += local;
+      acc.w_partitions.add_scaled(local, weight);
+    }
+    if (wants_downgrades && (!partition || !lp_standard)) {
+      // The downgrade immunity check always uses the standard LP ladder
+      // (matching analyze_downgrades); rebuild only if the partition
+      // analysis ran with a different ladder.
+      partition.emplace(g, d, m, cfg.model, LocalPrefPolicy::standard(), ws);
+    }
+
+    if (cfg.analyses.contains(Analysis::kHappiness)) {
+      security::HappyTotals local;
+      security::accumulate_into(po, local);
+      acc.happiness += local;
+      acc.w_happiness.add_scaled(local, weight);
+    }
+    if (wants_downgrades) {
+      po.partition = &*partition;
+      security::DowngradeStats local;
+      security::accumulate_into(po, local);
+      acc.downgrades += local;
+      acc.w_downgrades.add_scaled(local, weight);
+    }
+    if (cfg.analyses.contains(Analysis::kCollateral)) {
+      security::CollateralStats local;
+      security::accumulate_into(po, local);
+      acc.collateral += local;
+      acc.w_collateral.add_scaled(local, weight);
+    }
+    if (cfg.analyses.contains(Analysis::kRootCause)) {
+      security::RootCauseStats local;
+      security::accumulate_into(po, local);
+      acc.root_causes += local;
+      acc.w_root_causes.add_scaled(local, weight);
+    }
+  }
+}
+
 void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
                           const PairAnalysisConfig& cfg, const Deployment& dep,
                           routing::EngineWorkspace& ws,
                           std::uint64_t sweep_context, std::uint64_t weight,
                           PairStats& acc) {
-  if (cfg.analyses.empty()) {
-    throw std::invalid_argument("accumulate_pair_into: empty analysis set");
-  }
-  if (d == m) {
-    throw std::invalid_argument(
-        "accumulate_pair_into: attacker == destination");
-  }
-  ++acc.pairs;
-  acc.weight += weight;
-
-  // Per-destination baseline cache. A hit requires the exact (token, d)
-  // pair; the token is minted per sweep, so deployments, configs and
-  // graphs can never be confused across calls.
-  routing::DestBaselineSlot& db = ws.dest_baseline;
-  const bool cached = sweep_context != 0;
-  if (cached && (db.context != sweep_context || db.destination != d)) {
-    db.context = sweep_context;
-    db.destination = d;
-    db.has_normal = false;
-    db.has_insecure_empty = false;
-  }
-  const auto ensure_normal = [&]() -> const routing::RoutingOutcome& {
-    const routing::Query nq{d, routing::kNoAs, cfg.model};
-    if (!cached) {
-      routing::compute_routing_into(g, nq, dep, ws, ws.normal);
-      return ws.normal;
-    }
-    if (!db.has_normal) {
-      routing::compute_routing_into(g, nq, dep, ws, db.normal);
-      db.has_normal = true;
-    }
-    return db.normal;
-  };
-
-  security::PairOutcomes po;
-  po.g = &g;
-  po.d = d;
-  po.m = m;
-  po.dep = &dep;
-
-  if (cfg.analyses.intersects(kNeedsAttacked)) {
-    const routing::Query q{d, m, cfg.model};
-    if (cfg.hysteresis) {
-      if (cached) {
-        // Hysteresis pins routes of the pre-attack state, which is exactly
-        // the cached per-destination baseline.
-        const auto& normal = ensure_normal();
-        routing::compute_routing_with_hysteresis_into(g, q, dep, ws, normal,
-                                                      ws.primary);
-        po.normal = &normal;
-      } else {
-        // The hysteresis engine computes the pre-attack state as its first
-        // step (into ws.normal), so `normal` comes for free here.
-        routing::compute_routing_with_hysteresis_into(g, q, dep, ws,
-                                                      ws.primary);
-        po.normal = &ws.normal;
-      }
-    } else if (cached && routing::routing_seed_applicable(q, dep)) {
-      // Monotone case: derive the attacked state incrementally from the
-      // cached baseline (bit-for-bit identical to the full engine).
-      routing::compute_routing_seeded_into(g, q, dep, ws, ensure_normal(),
-                                           ws.primary);
-    } else {
-      routing::compute_routing_into(g, q, dep, ws, ws.primary);
-    }
-    po.attacked = &ws.primary;
-  }
-  if (cfg.analyses.intersects(kNeedsNormal) && po.normal == nullptr) {
-    po.normal = &ensure_normal();
-  }
-  // The partition state owns ws.baseline (or the reach buffers for
-  // security 1st), which no other outcome above touches, so it can coexist
-  // with all of them.
-  const bool wants_partitions = cfg.analyses.contains(Analysis::kPartitions);
-  const bool wants_downgrades = cfg.analyses.contains(Analysis::kDowngrades);
-  const bool lp_standard = cfg.lp.kind == LocalPrefPolicy::Kind::kStandard;
-  std::optional<security::PartitionContext> partition;
-  if (wants_partitions) {
-    partition.emplace(g, d, m, cfg.model, cfg.lp, ws);
-    po.partition = &*partition;
-    security::PartitionCounts local;
-    security::accumulate_into(po, local);
-    acc.partitions += local;
-    acc.w_partitions.add_scaled(local, weight);
-  }
-  if (wants_downgrades && (!partition || !lp_standard)) {
-    // The downgrade immunity check always uses the standard LP ladder
-    // (matching analyze_downgrades); rebuild only if the partition
-    // analysis ran with a different ladder.
-    partition.emplace(g, d, m, cfg.model, LocalPrefPolicy::standard(), ws);
-  }
-
-  if (cfg.analyses.intersects(kNeedsAttackedEmpty)) {
-    if (partition && (wants_downgrades || lp_standard) &&
-        cfg.model != SecurityModel::kSecurityFirst) {
-      // The standard-LP partition state for security 2nd/3rd already
-      // computed the S = emptyset attacked stable state into ws.baseline,
-      // and routing_equivalence_test asserts it matches the main engine's
-      // bit for bit — no extra engine run needed.
-      po.attacked_empty = &ws.baseline;
-    } else {
-      const routing::Query eq{d, m, SecurityModel::kInsecure};
-      if (cached) {
-        // The insecure S = emptyset instance is always seedable (security
-        // never ranks), so the attacked-empty outcome also amortizes to an
-        // incremental derivation per attacker.
-        if (!db.has_insecure_empty) {
-          routing::compute_routing_into(
-              g, {d, routing::kNoAs, SecurityModel::kInsecure}, {}, ws,
-              db.insecure_empty);
-          db.has_insecure_empty = true;
-        }
-        routing::compute_routing_seeded_into(g, eq, {}, ws, db.insecure_empty,
-                                             ws.attacked_empty);
-      } else {
-        routing::compute_routing_into(g, eq, {}, ws, ws.attacked_empty);
-      }
-      po.attacked_empty = &ws.attacked_empty;
-    }
-  }
-
-  if (cfg.analyses.contains(Analysis::kHappiness)) {
-    security::HappyTotals local;
-    security::accumulate_into(po, local);
-    acc.happiness += local;
-    acc.w_happiness.add_scaled(local, weight);
-  }
-  if (wants_downgrades) {
-    po.partition = &*partition;
-    security::DowngradeStats local;
-    security::accumulate_into(po, local);
-    acc.downgrades += local;
-    acc.w_downgrades.add_scaled(local, weight);
-  }
-  if (cfg.analyses.contains(Analysis::kCollateral)) {
-    security::CollateralStats local;
-    security::accumulate_into(po, local);
-    acc.collateral += local;
-    acc.w_collateral.add_scaled(local, weight);
-  }
-  if (cfg.analyses.contains(Analysis::kRootCause)) {
-    security::RootCauseStats local;
-    security::accumulate_into(po, local);
-    acc.root_causes += local;
-    acc.w_root_causes.add_scaled(local, weight);
-  }
+  accumulate_group_into(g, d, std::span<const AsId>(&m, 1),
+                        std::span<const std::uint64_t>(&weight, 1), cfg, dep,
+                        ws, sweep_context, acc);
 }
 
 SweepResult analyze_sweep(const AsGraph& g, const SweepPlan& plan,
@@ -270,21 +277,21 @@ SweepResult analyze_sweep(const AsGraph& g, const SweepPlan& plan,
     throw std::invalid_argument("analyze_sweep: plan has no pairs");
   }
 
-  // Scheduling unit: a chunk of one group's attackers. Chunks keep load
-  // balanced across workers while staying large enough that the
-  // per-(destination, worker) baselines amortize.
+  // Scheduling unit: one destination with a chunk of at most kLaneWidth of
+  // its attackers — one lane pass — split evenly so the chunks of a group
+  // cost alike.
   struct Unit {
     std::size_t group;
     std::size_t begin;
     std::size_t end;
   };
-  constexpr std::size_t kChunk = 16;
   std::vector<Unit> units;
-  units.reserve(pairs / kChunk + plan.groups.size());
   for (std::size_t gi = 0; gi < plan.groups.size(); ++gi) {
     const std::size_t count = plan.groups[gi].attackers.size();
-    for (std::size_t b = 0; b < count; b += kChunk) {
-      units.push_back({gi, b, std::min(b + kChunk, count)});
+    const std::size_t chunks = num_lane_chunks(count);
+    for (std::size_t j = 0; j < chunks; ++j) {
+      const auto [begin, end] = lane_chunk(count, chunks, j);
+      units.push_back({gi, begin, end});
     }
   }
 
@@ -304,12 +311,14 @@ SweepResult analyze_sweep(const AsGraph& g, const SweepPlan& plan,
         const Unit& u = units[i];
         const DestinationGroup& grp = plan.groups[u.group];
         routing::EngineWorkspace& ws = exec.workspace(worker);
-        PairStats& acc = accs[worker][u.group];
-        for (std::size_t k = u.begin; k < u.end; ++k) {
-          const std::uint64_t w = grp.weights.empty() ? 1 : grp.weights[k];
-          accumulate_pair_into(g, grp.destination, grp.attackers[k], cfg, dep,
-                               ws, token, w, acc);
-        }
+        const std::span<const AsId> attackers(grp.attackers);
+        const std::span<const std::uint64_t> weights(grp.weights);
+        accumulate_group_into(
+            g, grp.destination,
+            attackers.subspan(u.begin, u.end - u.begin),
+            weights.empty() ? weights
+                            : weights.subspan(u.begin, u.end - u.begin),
+            cfg, dep, ws, token, accs[worker][u.group]);
       },
       workers);
 

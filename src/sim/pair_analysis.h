@@ -10,22 +10,28 @@
 // EngineWorkspace slots) and feeds all selected analyses from it via their
 // security::accumulate_into entry points.
 //
-// Engine computations per pair, fused vs. standalone, all five analyses:
+// Engine computations per pair, all five analyses:
 //   standalone  happiness 1 + partitions 1 + downgrades 3 + collateral 2
-//               + root causes 3 = 10
-//   fused       attacked + normal + partition state = 3 (the standard-LP
-//               partition state for security 2nd/3rd doubles as the
-//               S = emptyset attacked outcome; 4 otherwise)
+//               + root causes 3 = 10 full engine runs
+//   fused       the partition state (PartitionContext) per pair, plus a
+//               share of two per-group computations: the normal outcome
+//               {d, kNoAs, model}, computed once per (destination, worker),
+//               and one lane pass (routing/lanes.h) per chunk of up to 32
+//               attackers, which yields every attacker's attacked state
+//               under S and under S = emptyset. Only hysteresis and
+//               security 1st/2nd with a signed origin still run the scalar
+//               engine per pair for the attacked state under S.
 //
-// On top of the fusing, the sweep API is *destination-grouped*: a SweepPlan
-// organizes the pairs as DestinationGroup units so that every attacker of
-// one destination runs on a workspace whose dest_baseline slot caches the
-// attacker-independent outcomes ({d, kNoAs, model} under S, and
-// {d, kNoAs, kInsecure} under S = emptyset). Those baselines are computed
-// at most once per (destination, worker) and every attacked outcome the
-// model admits is then derived incrementally from them
-// (routing::compute_routing_seeded_into) — bit-for-bit identical to the
-// full engine, several times cheaper per pair.
+// The analyses read outcomes as flag views (security/pair_outcomes.h): one
+// byte per AS, filled from a scalar RoutingOutcome or from one lane of the
+// lane pass. Each analysis is one branch-free loop over those bytes.
+//
+// Scheduling is destination-grouped: a SweepPlan organizes the pairs as
+// DestinationGroup units, and analyze_sweep and run_campaign both hand
+// workers the same unit — one destination with a chunk of at most
+// routing::kLaneWidth of its attackers, split evenly (lane_chunk) — to
+// accumulate_group_into. The normal outcome is cached in the workspace's
+// dest_baseline slot, so chunks of one destination on one worker share it.
 //
 // Determinism contract: PairStats is all integers, so per-worker partials
 // merge to bit-for-bit identical totals for any thread count (see
@@ -36,8 +42,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "routing/lanes.h"
 #include "routing/model.h"
 #include "security/collateral.h"
 #include "security/downgrade.h"
@@ -222,30 +231,54 @@ struct SweepPlan {
                                         const TrafficModel& traffic);
 
 /// Mints a fresh sweep-context token (process-wide, never 0, never
-/// reused). Pass it to accumulate_pair_into for every pair of one
+/// reused). Pass it to accumulate_group_into for every group of one
 /// (deployment, config, destination-grouped) sweep to activate the
-/// per-destination baseline cache in the workspace's dest_baseline slot;
-/// analyze_sweep and the campaign scheduler do this internally.
+/// per-destination normal-outcome cache in the workspace's dest_baseline
+/// slot; analyze_sweep and the campaign scheduler do this internally.
 [[nodiscard]] std::uint64_t next_sweep_context();
 
-/// Runs every selected analysis for the single pair (m on d), computing
-/// each required routing outcome at most once into `ws`, and adds the
-/// results to `acc`. Requires d != m and a non-empty analysis set (throws
-/// std::invalid_argument otherwise; partition/downgrade analyses also
-/// reject SecurityModel::kInsecure, matching PartitionContext).
+/// Lane-pass chunks a group of `count` attackers splits into.
+[[nodiscard]] constexpr std::size_t num_lane_chunks(std::size_t count) {
+  return (count + routing::kLaneWidth - 1) / routing::kLaneWidth;
+}
+
+/// Attackers [first, second) of chunk `j` when a group of `count`
+/// attackers splits evenly into `chunks` chunks. With chunks >=
+/// num_lane_chunks(count) every chunk holds at most routing::kLaneWidth.
+[[nodiscard]] constexpr std::pair<std::size_t, std::size_t> lane_chunk(
+    std::size_t count, std::size_t chunks, std::size_t j) {
+  return {count * j / chunks, count * (j + 1) / chunks};
+}
+
+/// Runs every selected analysis for each pair (attackers[k] on d), computing
+/// the group's outcomes into `ws` — the normal outcome once, every attacked
+/// state the lane pass admits in one pass — and adds the results to `acc`.
+/// Pair k contributes `weights[k]` copies of its counts to the w_* mirrors
+/// (and to acc.weight); an empty `weights` means weight 1 for every pair,
+/// where the mirrors equal the unweighted counters.
 ///
-/// `sweep_context` controls the attacker-independent baseline cache in
-/// ws.dest_baseline: 0 disables it (every outcome computed from scratch);
-/// a token from next_sweep_context() lets consecutive calls with the same
-/// (token, d) reuse the no-attack baselines and derive attacked outcomes
-/// incrementally. The caller must mint a fresh token whenever the graph,
+/// Requires a non-empty analysis set, at most routing::kLaneWidth
+/// attackers, none equal to d, and `weights` empty or parallel to
+/// `attackers` (throws std::invalid_argument otherwise; partition/downgrade
+/// analyses also reject SecurityModel::kInsecure, matching
+/// PartitionContext). An empty attacker list adds nothing.
+///
+/// `sweep_context` controls the per-destination cache of the normal
+/// outcome in ws.dest_baseline: 0 disables it; a token from
+/// next_sweep_context() lets consecutive calls with the same (token, d)
+/// reuse it. The caller must mint a fresh token whenever the graph,
 /// deployment or config changes; results are bit-for-bit identical either
-/// way.
-/// Traffic-weighted variant: the pair additionally contributes `weight`
-/// copies of its per-analysis counts to the w_* mirrors (and `weight` to
-/// acc.weight). The unweighted counters are accumulated identically to the
-/// unweighted overload — a weight-1 call leaves acc bit-for-bit as if the
-/// unweighted overload had run with mirrors kept equal.
+/// way, and independent of how a destination's attackers are chunked.
+void accumulate_group_into(const AsGraph& g, AsId d,
+                           std::span<const AsId> attackers,
+                           std::span<const std::uint64_t> weights,
+                           const PairAnalysisConfig& cfg,
+                           const Deployment& dep, routing::EngineWorkspace& ws,
+                           std::uint64_t sweep_context, PairStats& acc);
+
+/// The single pair (m on d) with traffic weight `weight`: a group of one
+/// (accumulate_group_into). Throws std::invalid_argument if d == m or the
+/// analysis set is empty.
 void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
                           const PairAnalysisConfig& cfg, const Deployment& dep,
                           routing::EngineWorkspace& ws,
@@ -290,11 +323,10 @@ struct SweepResult {
   std::vector<PairStats> per_destination;
 };
 
-/// Fused destination-grouped sweep on a BatchExecutor: schedules whole
-/// groups (chunks of one destination's attackers) so each worker computes
-/// the attacker-independent baselines once per destination and derives
-/// every admissible attacked outcome incrementally from them. Results are
-/// bit-for-bit independent of thread count, chunking and group order.
+/// Fused destination-grouped sweep on a BatchExecutor: schedules chunks of
+/// at most routing::kLaneWidth of one destination's attackers (lane_chunk)
+/// through accumulate_group_into. Results are bit-for-bit independent of
+/// thread count, chunking and group order.
 /// Throws std::invalid_argument on an empty plan, a pair-less plan, or a
 /// group whose attackers contain its own destination.
 [[nodiscard]] SweepResult analyze_sweep(const AsGraph& g,

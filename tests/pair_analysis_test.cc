@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -16,10 +17,13 @@
 #include "security/happiness.h"
 #include "security/partition.h"
 #include "security/rootcause.h"
+#include "sim/campaign.h"
+#include "sim/experiment.h"
 #include "sim/pair_analysis.h"
 #include "sim/runner.h"
 #include "test_support.h"
 #include "topology/generator.h"
+#include "topology/registry.h"
 
 namespace sbgp::sim {
 namespace {
@@ -238,6 +242,155 @@ TEST_F(PairAnalysisTest, PerDestinationSumsToAggregate) {
   expect_root_causes_eq(merged.root_causes, result.total.root_causes);
 }
 
+// --- lane groups vs. standalone analyses ------------------------------------
+
+/// One pair's statistics from the standalone analyses, each running the
+/// scalar engine from scratch (weight 1). With hysteresis the attacked
+/// state under S comes from compute_routing_with_hysteresis instead, and
+/// the counting entry points read it.
+PairStats standalone_pair(const topology::AsGraph& g, AsId d, AsId m,
+                          const PairAnalysisConfig& cfg,
+                          const Deployment& dep) {
+  PairStats s;
+  s.pairs = 1;
+  const bool partitions_defined = cfg.model != SecurityModel::kInsecure;
+  routing::EngineWorkspace ws;
+  if (partitions_defined) {
+    s.partitions = security::PartitionContext(g, d, m, cfg.model, cfg.lp, ws)
+                       .counts();
+  }
+  if (!cfg.hysteresis) {
+    const auto out = routing::compute_routing(g, {d, m, cfg.model}, dep);
+    const auto c = security::count_happy(out, d, m);
+    s.happiness = {c.happy_lower, c.happy_upper, c.sources};
+    if (partitions_defined) {
+      s.downgrades = security::analyze_downgrades(g, d, m, cfg.model, dep);
+    }
+    s.collateral = security::analyze_collateral(g, d, m, cfg.model, dep);
+    s.root_causes = security::analyze_root_causes(g, d, m, cfg.model, dep);
+  } else {
+    const auto normal =
+        routing::compute_routing(g, {d, routing::kNoAs, cfg.model}, dep);
+    const auto attacked = routing::compute_routing_with_hysteresis(
+        g, {d, m, cfg.model}, dep);
+    const auto empty = routing::compute_routing(
+        g, {d, m, SecurityModel::kInsecure}, Deployment{});
+    const auto c = security::count_happy(attacked, d, m);
+    s.happiness = {c.happy_lower, c.happy_upper, c.sources};
+    s.collateral = security::count_collateral(empty, attacked, dep, d, m);
+    std::vector<std::uint8_t> normal_flags, attacked_flags, empty_flags;
+    std::vector<std::uint8_t> signers;
+    normal.flags_into(normal_flags);
+    attacked.flags_into(attacked_flags);
+    empty.flags_into(empty_flags);
+    dep.signers_into(g.num_ases(), signers);
+    security::PairOutcomes po;
+    po.d = d;
+    po.m = m;
+    po.signers = signers;
+    po.normal = normal_flags;
+    po.attacked = attacked_flags;
+    po.attacked_empty = empty_flags;
+    security::accumulate_into(po, s.root_causes);
+    if (partitions_defined) {
+      const security::PartitionContext partition(
+          g, d, m, cfg.model, routing::LocalPrefPolicy::standard(), ws);
+      po.partition = &partition;
+      security::accumulate_into(po, s.downgrades);
+    }
+  }
+  return s;
+}
+
+/// Adds one pair's unit-weight stats `one` to `acc` at traffic weight `w`.
+void add_weighted(PairStats& acc, const PairStats& one, std::uint64_t w) {
+  acc.pairs += one.pairs;
+  acc.happiness += one.happiness;
+  acc.partitions += one.partitions;
+  acc.downgrades += one.downgrades;
+  acc.collateral += one.collateral;
+  acc.root_causes += one.root_causes;
+  acc.weight += w;
+  acc.w_happiness.add_scaled(one.happiness, w);
+  acc.w_partitions.add_scaled(one.partitions, w);
+  acc.w_downgrades.add_scaled(one.downgrades, w);
+  acc.w_collateral.add_scaled(one.collateral, w);
+  acc.w_root_causes.add_scaled(one.root_causes, w);
+}
+
+TEST(LaneGroups, SweepAndCampaignMatchStandaloneAnalyses) {
+  // Groups of 1, 31, 32, 33 and 40 attackers cover one lane, a partly
+  // filled pass, a full one, and chunks split across two passes.
+  const TrafficModel gravity = parse_traffic_model("gravity,seed=7");
+  const auto topo = topology::generate_trial("tiny-500", 5, 0);
+  const auto tiers = topo.classify();
+  for (const auto model :
+       {SecurityModel::kInsecure, SecurityModel::kSecurityFirst,
+        SecurityModel::kSecuritySecond, SecurityModel::kSecurityThird}) {
+    for (const bool hysteresis : {false, true}) {
+      for (const std::size_t group : {1u, 31u, 32u, 33u, 40u}) {
+        ExperimentSpec spec;
+        spec.scenario = "t1-t2";
+        spec.model = model;
+        spec.analyses = model == SecurityModel::kInsecure
+                            ? Analysis::kHappiness | Analysis::kCollateral |
+                                  Analysis::kRootCause
+                            : AnalysisSet::all();
+        spec.hysteresis = hysteresis;
+        spec.num_attackers = group;
+        spec.num_destinations = 2;
+        ExperimentResolver resolver(topo.graph, tiers, topo.sample_salt);
+        const ResolvedExperiment re = resolver.resolve(spec);
+        ASSERT_EQ(re.attackers.size(), group);
+
+        // Unit-weight standalone stats per (destination, attacker).
+        std::vector<std::vector<PairStats>> one(re.destinations.size());
+        for (std::size_t di = 0; di < re.destinations.size(); ++di) {
+          for (const AsId m : re.attackers) {
+            if (m == re.destinations[di]) continue;
+            one[di].push_back(standalone_pair(topo.graph, re.destinations[di],
+                                              m, re.cfg, *re.deployment));
+          }
+        }
+
+        for (const TrafficModel& traffic : {TrafficModel{}, gravity}) {
+          SCOPED_TRACE(::testing::Message()
+                       << to_string(model) << " hysteresis=" << hysteresis
+                       << " group=" << group
+                       << " gravity=" << !traffic.is_trivial());
+          const SweepPlan plan =
+              make_sweep_plan(re.attackers, re.destinations, traffic);
+          std::vector<PairStats> expected(plan.groups.size());
+          PairStats total;
+          for (std::size_t gi = 0; gi < plan.groups.size(); ++gi) {
+            const auto& grp = plan.groups[gi];
+            for (std::size_t k = 0; k < grp.attackers.size(); ++k) {
+              add_weighted(expected[gi], one[gi][k],
+                           grp.weights.empty() ? 1 : grp.weights[k]);
+            }
+            total += expected[gi];
+          }
+
+          const SweepResult sweep =
+              analyze_sweep(topo.graph, plan, re.cfg, *re.deployment);
+          EXPECT_EQ(sweep.per_destination, expected);
+          EXPECT_EQ(sweep.total, total);
+
+          CampaignSpec campaign;
+          campaign.topology = "tiny-500";
+          campaign.trials = 1;
+          campaign.seed = 5;
+          campaign.experiments.push_back(spec);
+          campaign.experiments.back().traffic = traffic;
+          const CampaignResult cell = run_campaign(campaign);
+          ASSERT_EQ(cell.trial_rows.size(), 1u);
+          EXPECT_EQ(cell.trial_rows[0].row.stats, total);
+        }
+      }
+    }
+  }
+}
+
 // --- sweep plans -------------------------------------------------------------
 
 TEST(SweepPlanTest, GroupsByDestinationAndSkipsSelfAttacks) {
@@ -366,6 +519,26 @@ TEST(AttackPairs, AccumulatePairRejectsBadInputs) {
                                     Deployment(topo.graph.num_ases()), ws,
                                     acc),
                std::invalid_argument);
+
+  // Groups: more attackers than lanes, mismatched weights, a self-attack.
+  const Deployment dep(topo.graph.num_ases());
+  std::vector<AsId> attackers;
+  for (AsId m = 10; m < 10 + routing::kLaneWidth + 1; ++m) {
+    attackers.push_back(m);
+  }
+  EXPECT_THROW(accumulate_group_into(topo.graph, 7, attackers, {}, cfg, dep,
+                                     ws, 0, acc),
+               std::invalid_argument);
+  const std::span<const AsId> two(attackers.data(), 2);
+  const std::vector<std::uint64_t> one_weight = {3};
+  EXPECT_THROW(accumulate_group_into(topo.graph, 7, two, one_weight, cfg,
+                                     dep, ws, 0, acc),
+               std::invalid_argument);
+  const std::vector<AsId> self = {8, 7};
+  EXPECT_THROW(accumulate_group_into(topo.graph, 7, self, {}, cfg, dep, ws, 0,
+                                     acc),
+               std::invalid_argument);
+  EXPECT_EQ(acc, PairStats{});
 }
 
 }  // namespace

@@ -7,11 +7,16 @@
 // asynchronous activation orders doubles as a check of Theorem 2.1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "deployment/scenario.h"
 #include "routing/baseline.h"
 #include "routing/engine.h"
+#include "routing/lanes.h"
 #include "routing/model.h"
 #include "routing/reach.h"
 #include "routing/reference.h"
@@ -369,6 +374,154 @@ TEST(EquivalenceSimplex, SimplexDeploymentMatches) {
     ASSERT_TRUE(ref.run(q, 9).converged);
     expect_equivalent(g, eng, ref, q, std::string(to_string(model)));
   }
+}
+
+// --- Lane pass vs. scalar engine -------------------------------------------
+
+/// Attackers for one lane pass on d: d's neighbours first (attackers
+/// adjacent to d), then an AS with its neighbours (attackers adjacent to
+/// each other), then random fill — `lanes` distinct ASes other than d.
+std::vector<AsId> lane_attackers(const AsGraph& g, AsId d, std::size_t lanes,
+                                 util::Rng& rng) {
+  std::vector<AsId> out;
+  std::vector<char> taken(g.num_ases(), 0);
+  taken[d] = 1;
+  const auto take = [&](AsId v) {
+    if (out.size() < lanes && taken[v] == 0) {
+      taken[v] = 1;
+      out.push_back(v);
+    }
+  };
+  for (const AsId v : g.neighbors(d)) {
+    if (out.size() >= 3) break;
+    take(v);
+  }
+  const auto hub = static_cast<AsId>(rng.next_below(g.num_ases()));
+  take(hub);
+  for (const AsId v : g.neighbors(hub)) take(v);
+  while (out.size() < lanes) {
+    take(static_cast<AsId>(rng.next_below(g.num_ases())));
+  }
+  return out;
+}
+
+/// Every lane's flag bytes, under S and under S = emptyset, must equal the
+/// scalar engine's for the same query.
+void expect_lanes_match_scalar(const AsGraph& g, AsId d,
+                               const std::vector<AsId>& attackers,
+                               SecurityModel model, const Deployment& dep,
+                               EngineWorkspace& ws) {
+  LanePass pass;
+  pass.run(g, d, attackers, model, dep);
+  ASSERT_EQ(pass.num_lanes(), attackers.size());
+  std::vector<std::uint8_t> lane;
+  std::vector<std::uint8_t> scalar;
+  for (std::size_t k = 0; k < attackers.size(); ++k) {
+    const AsId m = attackers[k];
+    SCOPED_TRACE(std::string(to_string(model)) + " d=" + std::to_string(d) +
+                 " m=" + std::to_string(m) + " lane " + std::to_string(k) +
+                 "/" + std::to_string(attackers.size()));
+    ASSERT_TRUE(routing_seed_applicable({d, m, model}, dep));
+    compute_routing_into(g, {d, m, model}, dep, ws, ws.primary);
+    ws.primary.flags_into(scalar);
+    pass.flags_into(k, LanePass::View::kDeployment, lane);
+    ASSERT_EQ(lane, scalar) << "under S";
+    compute_routing_into(g, {d, m, SecurityModel::kInsecure}, {}, ws,
+                         ws.primary);
+    ws.primary.flags_into(scalar);
+    pass.flags_into(k, LanePass::View::kEmpty, lane);
+    ASSERT_EQ(lane, scalar) << "under S = emptyset";
+  }
+}
+
+/// Lane counts 1, 5, 31 and 32 on d (at most |V| - 1), under insecure BGP,
+/// security 3rd with d signing and not signing, and security 1st/2nd with
+/// an unsigned origin.
+void check_lane_pass(const AsGraph& g, AsId d, const Deployment& dep,
+                     util::Rng& rng) {
+  const auto n = static_cast<std::uint32_t>(g.num_ases());
+  Deployment signed_dep = dep;
+  signed_dep.secure.insert(d);
+  Deployment unsigned_dep = dep;
+  unsigned_dep.secure.erase(d);
+  unsigned_dep.simplex.erase(d);
+  EngineWorkspace ws(n);
+  for (const std::size_t lanes : {1u, 5u, 31u, 32u}) {
+    const auto attackers =
+        lane_attackers(g, d, std::min<std::size_t>(lanes, n - 1), rng);
+    expect_lanes_match_scalar(g, d, attackers, SecurityModel::kInsecure, dep,
+                              ws);
+    for (const Deployment* s : {&signed_dep, &unsigned_dep}) {
+      expect_lanes_match_scalar(g, d, attackers,
+                                SecurityModel::kSecurityThird, *s, ws);
+    }
+    for (const SecurityModel model :
+         {SecurityModel::kSecurityFirst, SecurityModel::kSecuritySecond}) {
+      expect_lanes_match_scalar(g, d, attackers, model, unsigned_dep, ws);
+    }
+  }
+}
+
+TEST_P(EquivalenceTest, LanePassMatchesScalarOnRandomGraphs) {
+  const auto [n, seed] = GetParam();
+  util::Rng rng(seed + 4242);
+  const AsGraph g = random_gr_graph(n, rng);
+  for (int trial = 0; trial < 3; ++trial) {
+    const auto d = static_cast<AsId>(rng.next_below(n));
+    const Deployment dep = random_deployment(n, 0.45, rng);
+    check_lane_pass(g, d, dep, rng);
+  }
+}
+
+TEST(LanePass, MatchesScalarOnTiny500) {
+  const auto topo = topology::generate_trial("tiny-500", 20130812, 0);
+  const auto n = static_cast<std::uint32_t>(topo.graph.num_ases());
+  util::Rng rng(77);
+  for (int trial = 0; trial < 4; ++trial) {
+    const auto d = static_cast<AsId>(rng.next_below(n));
+    const Deployment dep = random_deployment(n, 0.4, rng);
+    check_lane_pass(topo.graph, d, dep, rng);
+  }
+}
+
+TEST(LanePass, RejectsMalformedGroups) {
+  util::Rng rng(6);
+  const AsGraph g = random_gr_graph(60, rng);
+  Deployment dep(60);
+  dep.secure.insert(3);
+  LanePass pass;
+  const std::vector<AsId> one = {4};
+  // Signed origin under security 1st/2nd: secure stages would run.
+  for (const SecurityModel model :
+       {SecurityModel::kSecurityFirst, SecurityModel::kSecuritySecond}) {
+    EXPECT_THROW(pass.run(g, 3, one, model, dep), std::invalid_argument);
+  }
+  Deployment simplex(60);
+  simplex.simplex.insert(3);
+  EXPECT_THROW(pass.run(g, 3, one, SecurityModel::kSecurityFirst, simplex),
+               std::invalid_argument);
+  // Zero or more than kLaneWidth attackers.
+  EXPECT_THROW(pass.run(g, 3, {}, SecurityModel::kInsecure, dep),
+               std::invalid_argument);
+  std::vector<AsId> too_many;
+  for (AsId v = 10; v < 10 + kLaneWidth + 1; ++v) too_many.push_back(v);
+  EXPECT_THROW(pass.run(g, 3, too_many, SecurityModel::kInsecure, dep),
+               std::invalid_argument);
+  // Attacker == destination, or out of range; bad destination.
+  const std::vector<AsId> self = {4, 3};
+  EXPECT_THROW(pass.run(g, 3, self, SecurityModel::kInsecure, dep),
+               std::invalid_argument);
+  const std::vector<AsId> out_of_range = {60};
+  EXPECT_THROW(pass.run(g, 3, out_of_range, SecurityModel::kInsecure, dep),
+               std::invalid_argument);
+  EXPECT_THROW(pass.run(g, 60, one, SecurityModel::kInsecure, dep),
+               std::invalid_argument);
+  // Security 1st/2nd with an unsigned origin and security 3rd are fine.
+  pass.run(g, 5, one, SecurityModel::kSecurityFirst, dep);
+  pass.run(g, 3, one, SecurityModel::kSecurityThird, dep);
+  std::vector<std::uint8_t> flags;
+  EXPECT_THROW(pass.flags_into(1, LanePass::View::kEmpty, flags),
+               std::out_of_range);
 }
 
 // --- Golden outcome digest ---------------------------------------------------
