@@ -226,6 +226,26 @@ MetricSummary summary_from(const std::array<double, 4>& v) {
   return {v[0], v[1], v[2], v[3]};
 }
 
+/// Aggregated CSV header: identity columns, then the unweighted and the
+/// w_-prefixed weighted metric summaries.
+const std::vector<std::string>& campaign_row_columns() {
+  static const std::vector<std::string> columns = [] {
+    std::vector<std::string> names = {
+        "label", "topology", "spec", "trials", "failed_trials",
+        "stopping_reason"};
+    for (const std::string_view prefix : {"", "w_"}) {
+      for (const auto metric : campaign_metric_names()) {
+        for (const auto part : kSummaryParts) {
+          names.push_back(std::string(prefix) + std::string(metric) + '_' +
+                          std::string(part));
+        }
+      }
+    }
+    return names;
+  }();
+  return columns;
+}
+
 // --- minimal JSON ----------------------------------------------------------
 
 // The serializers emit only flat-ish arrays of objects with string /
@@ -248,16 +268,32 @@ struct JsonValue {
     }
     return nullptr;
   }
-  [[nodiscard]] const JsonValue& at(std::string_view key) const {
-    if (const JsonValue* v = find(key)) return *v;
-    throw std::invalid_argument("campaign_io: missing JSON key '" +
-                                std::string(key) + "'");
+  /// The member `key`, which must be present and of kind `kind`; throws
+  /// std::invalid_argument otherwise, so `"hysteresis": 1` or a quoted
+  /// counter is rejected rather than read as a default.
+  [[nodiscard]] const JsonValue& at(std::string_view key, Kind kind) const {
+    const JsonValue* v = find(key);
+    if (v == nullptr) {
+      throw std::invalid_argument("campaign_io: missing JSON key '" +
+                                  std::string(key) + "'");
+    }
+    if (v->kind != kind) {
+      throw std::invalid_argument("campaign_io: JSON key '" +
+                                  std::string(key) + "' has the wrong kind");
+    }
+    return *v;
+  }
+  [[nodiscard]] const std::string& as_string(std::string_view key) const {
+    return at(key, Kind::kString).text;
   }
   [[nodiscard]] std::uint64_t as_u64(std::string_view key) const {
-    return parse_u64(at(key).text);
+    return parse_u64(at(key, Kind::kNumber).text);
   }
   [[nodiscard]] double as_double(std::string_view key) const {
-    return parse_double(at(key).text);
+    return parse_double(at(key, Kind::kNumber).text);
+  }
+  [[nodiscard]] bool as_bool(std::string_view key) const {
+    return at(key, Kind::kBool).boolean;
   }
 };
 
@@ -656,14 +692,14 @@ std::vector<CampaignTrialRow> read_trial_rows_json(std::istream& is) {
   rows.reserve(root.array.size());
   for (const auto& obj : root.array) {
     CampaignTrialRow r;
-    r.topology = obj.at("topology").text;
+    r.topology = obj.as_string("topology");
     r.trial = static_cast<std::size_t>(obj.as_u64("trial"));
     r.topology_seed = obj.as_u64("topology_seed");
     r.spec_index = static_cast<std::size_t>(obj.as_u64("spec"));
-    r.row.label = obj.at("label").text;
-    r.row.step_label = obj.at("step_label").text;
-    r.row.model = parse_model(obj.at("model").text);
-    r.row.hysteresis = obj.at("hysteresis").boolean;
+    r.row.label = obj.as_string("label");
+    r.row.step_label = obj.as_string("step_label");
+    r.row.model = parse_model(obj.as_string("model"));
+    r.row.hysteresis = obj.as_bool("hysteresis");
     const auto slots = counter_slots(r);
     for (std::size_t c = 0; c < slots.size(); ++c) {
       *slots[c] = static_cast<std::size_t>(obj.as_u64(kCounterNames[c]));
@@ -688,20 +724,8 @@ std::vector<CampaignTrialRow> read_trial_rows_json(std::istream& is) {
 
 void write_campaign_rows_csv(std::ostream& os,
                              const std::vector<CampaignRow>& rows) {
-  std::vector<std::string> fields = {
-      "label", "topology", "spec", "trials", "failed_trials",
-      "stopping_reason"};
-  for (const auto metric : campaign_metric_names()) {
-    for (const auto part : kSummaryParts) {
-      fields.push_back(std::string(metric) + '_' + std::string(part));
-    }
-  }
-  for (const auto metric : campaign_metric_names()) {
-    for (const auto part : kSummaryParts) {
-      fields.push_back("w_" + std::string(metric) + '_' + std::string(part));
-    }
-  }
-  os << csv_line(fields) << '\n';
+  os << csv_line(campaign_row_columns()) << '\n';
+  std::vector<std::string> fields;
   for (const auto& r : rows) {
     fields.clear();
     fields.push_back(r.label);
@@ -710,14 +734,11 @@ void write_campaign_rows_csv(std::ostream& os,
     fields.push_back(std::to_string(r.trials));
     fields.push_back(std::to_string(r.failed_trials));
     fields.emplace_back(to_string(r.stopping));
-    for (const auto& m : r.metrics) {
-      for (const double v : summary_values(m)) {
-        fields.push_back(format_double(v));
-      }
-    }
-    for (const auto& m : r.weighted_metrics) {
-      for (const double v : summary_values(m)) {
-        fields.push_back(format_double(v));
+    for (const auto* metrics : {&r.metrics, &r.weighted_metrics}) {
+      for (const auto& m : *metrics) {
+        for (const double v : summary_values(m)) {
+          fields.push_back(format_double(v));
+        }
       }
     }
     os << csv_line(fields) << '\n';
@@ -730,49 +751,10 @@ std::vector<CampaignRow> read_campaign_rows_csv(std::istream& is) {
   if (!ok) {
     throw std::invalid_argument("read_campaign_rows_csv: empty input");
   }
-  // Accept all four header generations — bare, + failed_trials,
-  // + stopping_reason, + the weighted metric columns — so baselines
-  // written before each column existed keep parsing. Absent columns mean
-  // failed_trials == 0, StoppingReason::kFixed and weighted_metrics ==
-  // metrics, which is exactly what those older (clean, fixed-trial-count,
-  // uniform-weight) files recorded.
-  std::vector<std::string> metric_columns;
-  std::vector<std::string> weighted_metric_columns;
-  for (const auto metric : campaign_metric_names()) {
-    for (const auto part : kSummaryParts) {
-      metric_columns.push_back(std::string(metric) + '_' + std::string(part));
-      weighted_metric_columns.push_back("w_" + std::string(metric) + '_' +
-                                        std::string(part));
-    }
-  }
-  const auto make_header = [&](bool failed, bool stopping, bool weighted) {
-    std::vector<std::string> h = {"label", "topology", "spec", "trials"};
-    if (failed) h.emplace_back("failed_trials");
-    if (stopping) h.emplace_back("stopping_reason");
-    h.insert(h.end(), metric_columns.begin(), metric_columns.end());
-    if (weighted) {
-      h.insert(h.end(), weighted_metric_columns.begin(),
-               weighted_metric_columns.end());
-    }
-    return h;
-  };
-  const auto header_fields = split_csv_line(header);
-  bool has_failed_trials = true;
-  bool has_stopping = true;
-  bool has_weighted = true;
-  if (header_fields == make_header(false, false, false)) {
-    has_failed_trials = false;
-    has_stopping = false;
-    has_weighted = false;
-  } else if (header_fields == make_header(true, false, false)) {
-    has_stopping = false;
-    has_weighted = false;
-  } else if (header_fields == make_header(true, true, false)) {
-    has_weighted = false;
-  } else if (header_fields != make_header(true, true, true)) {
+  if (split_csv_line(header) != campaign_row_columns()) {
     throw std::invalid_argument("read_campaign_rows_csv: header mismatch");
   }
-  const std::size_t arity = header_fields.size();
+  const std::size_t arity = campaign_row_columns().size();
   std::vector<CampaignRow> rows;
   for (;;) {
     const std::string line = read_line(is, ok);
@@ -787,26 +769,15 @@ std::vector<CampaignRow> read_campaign_rows_csv(std::istream& is) {
     r.topology = fields[1];
     r.spec_index = static_cast<std::size_t>(parse_u64(fields[2]));
     r.trials = static_cast<std::size_t>(parse_u64(fields[3]));
-    std::size_t f = 4;
-    if (has_failed_trials) {
-      r.failed_trials = static_cast<std::size_t>(parse_u64(fields[f++]));
-    }
-    if (has_stopping) {
-      r.stopping = parse_stopping_reason(fields[f++]);
-    }
-    for (auto& m : r.metrics) {
-      std::array<double, 4> v;
-      for (double& x : v) x = parse_double(fields[f++]);
-      m = summary_from(v);
-    }
-    if (has_weighted) {
-      for (auto& m : r.weighted_metrics) {
+    r.failed_trials = static_cast<std::size_t>(parse_u64(fields[4]));
+    r.stopping = parse_stopping_reason(fields[5]);
+    std::size_t f = 6;
+    for (auto* metrics : {&r.metrics, &r.weighted_metrics}) {
+      for (auto& m : *metrics) {
         std::array<double, 4> v;
         for (double& x : v) x = parse_double(fields[f++]);
         m = summary_from(v);
       }
-    } else {
-      r.weighted_metrics = r.metrics;
     }
     rows.push_back(std::move(r));
   }
@@ -853,24 +824,19 @@ std::vector<CampaignRow> read_campaign_rows_json(std::istream& is) {
   rows.reserve(root.array.size());
   for (const auto& obj : root.array) {
     CampaignRow r;
-    r.label = obj.at("label").text;
-    r.topology = obj.at("topology").text;
+    r.label = obj.as_string("label");
+    r.topology = obj.as_string("topology");
     r.spec_index = static_cast<std::size_t>(obj.as_u64("spec"));
     r.trials = static_cast<std::size_t>(obj.as_u64("trials"));
-    // Optional for pre-failed_trials files (absent means a clean run).
-    if (obj.find("failed_trials") != nullptr) {
-      r.failed_trials = static_cast<std::size_t>(obj.as_u64("failed_trials"));
-    }
-    // Optional for pre-adaptive files (absent means a fixed-count run).
-    if (const JsonValue* reason = obj.find("stopping_reason")) {
-      r.stopping = parse_stopping_reason(reason->text);
-    }
+    r.failed_trials = static_cast<std::size_t>(obj.as_u64("failed_trials"));
+    r.stopping = parse_stopping_reason(obj.as_string("stopping_reason"));
     const auto& names = campaign_metric_names();
     const auto read_metrics =
         [&](const JsonValue& metrics,
             std::array<MetricSummary, kNumCampaignMetrics>& out) {
           for (std::size_t m = 0; m < kNumCampaignMetrics; ++m) {
-            const JsonValue& summary = metrics.at(names[m]);
+            const JsonValue& summary =
+                metrics.at(names[m], JsonValue::Kind::kObject);
             std::array<double, 4> v;
             for (std::size_t p = 0; p < kSummaryParts.size(); ++p) {
               v[p] = summary.as_double(kSummaryParts[p]);
@@ -878,14 +844,9 @@ std::vector<CampaignRow> read_campaign_rows_json(std::istream& is) {
             out[m] = summary_from(v);
           }
         };
-    read_metrics(obj.at("metrics"), r.metrics);
-    // Optional for pre-weighted files (absent means uniform weights, where
-    // the weighted metrics equal the unweighted ones).
-    if (const JsonValue* wm = obj.find("weighted_metrics")) {
-      read_metrics(*wm, r.weighted_metrics);
-    } else {
-      r.weighted_metrics = r.metrics;
-    }
+    read_metrics(obj.at("metrics", JsonValue::Kind::kObject), r.metrics);
+    read_metrics(obj.at("weighted_metrics", JsonValue::Kind::kObject),
+                 r.weighted_metrics);
     rows.push_back(std::move(r));
   }
   return rows;

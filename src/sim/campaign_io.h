@@ -69,6 +69,9 @@ void write_trial_rows_json(std::ostream& os,
 void write_trial_rows_json(std::ostream& os,
                            const std::vector<CampaignTrialRow>& rows,
                            bool weighted);
+/// Parses either generation write_trial_rows_json produces. Throws
+/// std::invalid_argument on a missing key or a value of the wrong JSON
+/// kind (e.g. "hysteresis": 1).
 [[nodiscard]] std::vector<CampaignTrialRow> read_trial_rows_json(
     std::istream& is);
 
@@ -115,15 +118,12 @@ class TrialRowJsonAppender {
 
 // --- aggregated rows -------------------------------------------------------
 
-// The aggregated schema has grown three times: `failed_trials` (always 0
-// for a clean run), `stopping_reason` ("fixed" / "converged" / "budget" —
-// the adaptive-stopping outcome, sim::StoppingReason), and the
-// traffic-weighted metric summaries (`w_<metric>_<part>` columns / the
-// "weighted_metrics" JSON object). The writers always emit the newest
-// generation; the readers accept all four. Absent columns default to
-// 0 / kFixed / weighted_metrics = metrics, which is exactly what files
-// written before each column existed mean (older files were all
-// uniform-weight, where the weighted metrics equal the unweighted ones).
+// One aggregated schema: identity columns including `failed_trials` and
+// `stopping_reason` ("fixed" / "converged" / "budget", sim::StoppingReason),
+// then the metric summaries and their traffic-weighted twins
+// (`w_<metric>_<part>` columns / the "weighted_metrics" JSON object). The
+// readers accept exactly what the writers emit: an older header or a
+// missing JSON key throws std::invalid_argument.
 
 void write_campaign_rows_csv(std::ostream& os,
                              const std::vector<CampaignRow>& rows);

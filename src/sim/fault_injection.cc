@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "util/csv.h"
 #include "util/rng.h"
 
 namespace sbgp::sim {
@@ -37,21 +38,6 @@ namespace {
   return rate;
 }
 
-[[nodiscard]] std::uint64_t parse_seed(std::string_view value) {
-  std::size_t used = 0;
-  std::uint64_t seed = 0;
-  try {
-    seed = std::stoull(std::string(value), &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != value.size()) {
-    throw std::invalid_argument("parse_fault_spec: bad seed '" +
-                                std::string(value) + "'");
-  }
-  return seed;
-}
-
 }  // namespace
 
 FaultSpec parse_fault_spec(std::string_view text) {
@@ -72,7 +58,7 @@ FaultSpec parse_fault_spec(std::string_view text) {
     const std::string_view key = field.substr(0, eq);
     const std::string_view value = field.substr(eq + 1);
     if (key == "seed") {
-      spec.seed = parse_seed(value);
+      spec.seed = util::parse_u64(value);
     } else if (key == "unit") {
       spec.unit_rate = parse_rate(key, value);
     } else if (key == "store") {

@@ -97,20 +97,6 @@ security::DowngradeStats total_downgrades(const AsGraph& g,
       .total.downgrades;
 }
 
-security::CollateralStats total_collateral(const AsGraph& g,
-                                           const std::vector<AsId>& attackers,
-                                           const std::vector<AsId>& destinations,
-                                           SecurityModel model,
-                                           const Deployment& dep,
-                                           const RunnerOptions& opts) {
-  PairAnalysisConfig cfg;
-  cfg.analyses = Analysis::kCollateral;
-  cfg.model = model;
-  return analyze_sweep(g, make_sweep_plan(attackers, destinations), cfg, dep,
-                       opts)
-      .total.collateral;
-}
-
 security::RootCauseStats total_root_causes(const AsGraph& g,
                                            const std::vector<AsId>& attackers,
                                            const std::vector<AsId>& destinations,

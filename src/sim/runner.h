@@ -21,7 +21,6 @@
 
 #include "routing/engine.h"
 #include "routing/model.h"
-#include "security/collateral.h"
 #include "security/downgrade.h"
 #include "security/happiness.h"
 #include "security/partition.h"
@@ -71,12 +70,6 @@ using security::PartitionShares;
 
 /// Aggregate downgrade statistics over pairs (Figures 13, 16).
 [[nodiscard]] security::DowngradeStats total_downgrades(
-    const AsGraph& g, const std::vector<AsId>& attackers,
-    const std::vector<AsId>& destinations, SecurityModel model,
-    const Deployment& dep, const RunnerOptions& opts = {});
-
-/// Aggregate collateral statistics over pairs (Table 3).
-[[nodiscard]] security::CollateralStats total_collateral(
     const AsGraph& g, const std::vector<AsId>& attackers,
     const std::vector<AsId>& destinations, SecurityModel model,
     const Deployment& dep, const RunnerOptions& opts = {});

@@ -1,6 +1,7 @@
 #include "util/csv.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -95,15 +96,15 @@ double parse_double(std::string_view field) {
 }
 
 std::uint64_t parse_u64(std::string_view field) {
-  const std::string s(field);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE ||
-      s.front() == '-') {
-    throw std::invalid_argument("parse_u64: bad field '" + s + "'");
+  // Unlike strtoull, from_chars takes no sign and no leading whitespace.
+  std::uint64_t v = 0;
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("parse_u64: bad field '" + std::string(field) +
+                                "'");
   }
-  return static_cast<std::uint64_t>(v);
+  return v;
 }
 
 }  // namespace sbgp::util

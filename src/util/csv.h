@@ -33,9 +33,12 @@ namespace sbgp::util {
 /// result with strtod yields the identical double.
 [[nodiscard]] std::string format_double(double v);
 
-/// Parses a double / unsigned integer field; throws std::invalid_argument
-/// when `field` is not fully consumed by the parse.
+/// Parses a double field; throws std::invalid_argument when `field` is not
+/// fully consumed by the parse.
 [[nodiscard]] double parse_double(std::string_view field);
+/// Parses an unsigned decimal field: ASCII digits only, the whole field
+/// consumed, no sign or whitespace. Throws std::invalid_argument otherwise,
+/// including on an empty field or a value above 2^64 - 1.
 [[nodiscard]] std::uint64_t parse_u64(std::string_view field);
 
 }  // namespace sbgp::util

@@ -420,14 +420,11 @@ TEST(Campaign, AdaptiveConfigValidation) {
   EXPECT_THROW((void)run_campaign(merge), std::invalid_argument);
 }
 
-TEST(Campaign, AggregatedReadersAcceptLegacySchemas) {
-  // Four header generations are readable: no extra columns, then
-  // +failed_trials, then +stopping_reason, then +the weighted metric
-  // columns. A fixed clean uniform-weight run writes failed_trials=0,
-  // stopping_reason=fixed and weighted metrics identical to the
-  // unweighted ones — exactly the defaults the readers fill in for the
-  // older schemas — so stripping those columns from current output must
-  // parse back to identical rows.
+TEST(Campaign, AggregatedReadersRejectLegacySchemas) {
+  // The readers accept only the current aggregated schema. Each older
+  // generation — without the weighted metric columns, then also without
+  // stopping_reason, then also without failed_trials — must be rejected
+  // rather than read back with default values.
   const CampaignResult result = run_campaign(small_campaign(2));
   std::ostringstream csv;
   write_campaign_rows_csv(csv, result.rows);
@@ -457,12 +454,10 @@ TEST(Campaign, AggregatedReadersAcceptLegacySchemas) {
                         kNumCampaignMetrics * 4);
   const std::string gen2 = strip_csv_columns(gen3, 5, 1);  // -stopping_reason
   const std::string gen1 = strip_csv_columns(gen2, 4, 1);  // -failed_trials
-  std::istringstream gen3_in(gen3);
-  EXPECT_EQ(read_campaign_rows_csv(gen3_in), result.rows);
-  std::istringstream gen2_in(gen2);
-  EXPECT_EQ(read_campaign_rows_csv(gen2_in), result.rows);
-  std::istringstream gen1_in(gen1);
-  EXPECT_EQ(read_campaign_rows_csv(gen1_in), result.rows);
+  for (const std::string* text : {&gen3, &gen2, &gen1}) {
+    std::istringstream in(*text);
+    EXPECT_THROW((void)read_campaign_rows_csv(in), std::invalid_argument);
+  }
 
   std::ostringstream json;
   write_campaign_rows_json(json, result.rows);
@@ -495,12 +490,53 @@ TEST(Campaign, AggregatedReadersAcceptLegacySchemas) {
   const std::string jgen2 =
       strip_json_key(jgen3, ", \"stopping_reason\": \"fixed\"");
   const std::string jgen1 = strip_json_key(jgen2, ", \"failed_trials\": 0");
-  std::istringstream jgen3_in(jgen3);
-  EXPECT_EQ(read_campaign_rows_json(jgen3_in), result.rows);
-  std::istringstream jgen2_in(jgen2);
-  EXPECT_EQ(read_campaign_rows_json(jgen2_in), result.rows);
-  std::istringstream jgen1_in(jgen1);
-  EXPECT_EQ(read_campaign_rows_json(jgen1_in), result.rows);
+  for (const std::string* text : {&jgen3, &jgen2, &jgen1}) {
+    ASSERT_NE(*text, json.str());
+    std::istringstream in(*text);
+    EXPECT_THROW((void)read_campaign_rows_json(in), std::invalid_argument);
+  }
+}
+
+/// Feeds `text`, with the first occurrence of `from` replaced by `to`, to
+/// `read`, which must throw std::invalid_argument.
+template <typename Read>
+void expect_edit_rejected(Read read, std::string text, const std::string& from,
+                          const std::string& to) {
+  const std::size_t pos = text.find(from);
+  ASSERT_NE(pos, std::string::npos) << from;
+  text.replace(pos, from.size(), to);
+  std::istringstream in(text);
+  EXPECT_THROW((void)read(in), std::invalid_argument) << to;
+}
+
+TEST(Campaign, TrialRowJsonReaderChecksValueKinds) {
+  // A value of the wrong JSON kind is rejected, not read as a default
+  // (e.g. "hysteresis": 1 as false).
+  const CampaignResult result = run_campaign(small_campaign(2));
+  std::ostringstream json;
+  write_trial_rows_json(json, result.trial_rows);
+  const auto reject = [&](const std::string& from, const std::string& to) {
+    expect_edit_rejected(read_trial_rows_json, json.str(), from, to);
+  };
+  reject("\"hysteresis\": false", "\"hysteresis\": 1");
+  reject("\"hysteresis\": false", "\"hysteresis\": \"true\"");
+  reject("\"trial\": 0", "\"trial\": \"0\"");
+  reject("\"pairs\": ", "\"pairs\": true, \"x\": ");
+  reject("\"label\": \"", "\"label\": 7, \"x\": \"");
+}
+
+TEST(Campaign, AggregatedJsonReaderChecksValueKinds) {
+  const CampaignResult result = run_campaign(small_campaign(2));
+  std::ostringstream json;
+  write_campaign_rows_json(json, result.rows);
+  const auto reject = [&](const std::string& from, const std::string& to) {
+    expect_edit_rejected(read_campaign_rows_json, json.str(), from, to);
+  };
+  reject("\"trials\": 2", "\"trials\": \"2\"");
+  reject("\"failed_trials\": 0", "\"failed_trials\": false");
+  reject("\"stopping_reason\": \"fixed\"", "\"stopping_reason\": 0");
+  reject("\"mean\": ", "\"mean\": \"0\", \"x\": ");
+  reject("\"metrics\": {", "\"metrics\": 1, \"x\": {");
 }
 
 TEST(Campaign, AdaptiveRowsSurviveSerializationRoundTrip) {

@@ -39,6 +39,18 @@ TEST(FaultSpecParse, RejectsMalformedSpecs) {
   EXPECT_THROW((void)parse_fault_spec("unit=-0.1"), std::invalid_argument);
   EXPECT_THROW((void)parse_fault_spec("unit=abc"), std::invalid_argument);
   EXPECT_THROW((void)parse_fault_spec("unit=0.5,,"), std::invalid_argument);
+  // Seeds are plain unsigned decimals: no sign, whitespace or overflow
+  // (strtoull would read "-1" as 2^64 - 1).
+  EXPECT_THROW((void)parse_fault_spec("seed="), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_spec("seed=-1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_spec("seed= -1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_spec("seed=+7"), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_spec("seed= 7"), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_spec("seed=7 "), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_spec("seed=18446744073709551616"),
+               std::invalid_argument);
+  EXPECT_EQ(parse_fault_spec("seed=18446744073709551615").seed,
+            18446744073709551615ull);
 }
 
 TEST(FaultInjector, DisabledInjectorNeverFires) {
@@ -128,6 +140,8 @@ TEST(FaultSpecEnv, ReadsAndValidatesEnvironmentVariable) {
   EXPECT_DOUBLE_EQ(spec.unit_rate, 0.75);
 
   ASSERT_EQ(::setenv("SBGP_FAULTS", "nope", 1), 0);
+  EXPECT_THROW((void)fault_spec_from_env(), std::invalid_argument);
+  ASSERT_EQ(::setenv("SBGP_FAULTS", "seed=-1,unit=0.75", 1), 0);
   EXPECT_THROW((void)fault_spec_from_env(), std::invalid_argument);
 
   ASSERT_EQ(::unsetenv("SBGP_FAULTS"), 0);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "deployment/scenario.h"
@@ -544,50 +545,120 @@ void mix_distances(util::Fingerprint& fp, const PerceivableDistances& dist) {
   }
 }
 
-TEST(EngineGolden, OutcomeDigestsArePinned) {
-  // The equivalence suites above compare tie-invariant fields or one engine
-  // against another, so none of them notices a changed representative next
-  // hop. This digest pins every byte every engine produces — packed words
-  // and both next-hop arrays — on a fixed tiny-500 sample, so a change to
-  // frontier order or tie handling that moves any next hop fails here.
-  const auto topo = topology::generate_trial("tiny-500", 20130812, 0);
-  const AsGraph& g = topo.graph;
-  const auto n = static_cast<std::uint32_t>(g.num_ases());
-  util::Rng rng(2013);
-  const Deployment dep = random_deployment(n, 0.4, rng);
-  EngineWorkspace ws(n);
-  RoutingOutcome normal, attacked, seeded, hyst, base;
+// The equivalence suites above compare tie-invariant fields or one engine
+// against another, so none of them notices a changed representative next
+// hop. These digests pin every byte each engine produces — packed words and
+// both next-hop arrays — on one fixed tiny-500 sample, so a change to
+// frontier order or tie handling that moves any next hop fails here. Each
+// engine has its own literal: retiring or changing one engine moves only
+// its own digest.
+
+/// The sample every golden digest runs on: trial 0 of tiny-500, a 40%
+/// random deployment and 8 destinations x 8 attackers, all drawn from
+/// Rng(2013) in that order.
+struct GoldenSample {
+  topology::GeneratedTopology topo;
+  Deployment dep;
+  std::vector<std::pair<AsId, AsId>> pairs;  // (destination, attacker)
+};
+
+const GoldenSample& golden_sample() {
+  static const GoldenSample sample = [] {
+    GoldenSample s{topology::generate_trial("tiny-500", 20130812, 0), {}, {}};
+    const auto n = static_cast<std::uint32_t>(s.topo.graph.num_ases());
+    util::Rng rng(2013);
+    s.dep = random_deployment(n, 0.4, rng);
+    for (int di = 0; di < 8; ++di) {
+      const auto d = static_cast<AsId>(rng.next_below(n));
+      for (int mi = 0; mi < 8; ++mi) {
+        auto m = static_cast<AsId>(rng.next_below(n));
+        if (m == d) m = (m + 1) % n;
+        s.pairs.emplace_back(d, m);
+      }
+    }
+    return s;
+  }();
+  return sample;
+}
+
+TEST(EngineGolden, FullEngineDigestIsPinned) {
+  const GoldenSample& s = golden_sample();
+  const AsGraph& g = s.topo.graph;
+  EngineWorkspace ws(g.num_ases());
+  RoutingOutcome normal, attacked;
   util::Fingerprint fp;
-  for (int di = 0; di < 8; ++di) {
-    const auto d = static_cast<AsId>(rng.next_below(n));
-    for (int mi = 0; mi < 8; ++mi) {
-      auto m = static_cast<AsId>(rng.next_below(n));
-      if (m == d) m = (m + 1) % n;
-      for (const SecurityModel model : kAllSecurityModels) {
-        const Query q{d, m, model};
-        compute_routing_into(g, {d, kNoAs, model}, dep, ws, normal);
-        compute_routing_into(g, q, dep, ws, attacked);
-        mix_outcome(fp, normal);
-        mix_outcome(fp, attacked);
-        if (routing_seed_applicable(q, dep)) {
-          compute_routing_seeded_into(g, q, dep, ws, normal, seeded);
-          mix_outcome(fp, seeded);
-        }
-        compute_routing_with_hysteresis_into(g, q, dep, ws, normal, hyst);
-        mix_outcome(fp, hyst);
-      }
-      for (const LocalPrefPolicy lp :
-           {LocalPrefPolicy::standard(), LocalPrefPolicy::lp_k(2)}) {
-        compute_baseline_into(g, d, kNoAs, lp, ws, base);
-        mix_outcome(fp, base);
-        compute_baseline_into(g, d, m, lp, ws, base);
-        mix_outcome(fp, base);
-      }
-      mix_distances(fp, perceivable_distances(g, d));
-      mix_distances(fp, perceivable_distances(g, m, 1));
+  for (const auto& [d, m] : s.pairs) {
+    for (const SecurityModel model : kAllSecurityModels) {
+      compute_routing_into(g, {d, kNoAs, model}, s.dep, ws, normal);
+      compute_routing_into(g, {d, m, model}, s.dep, ws, attacked);
+      mix_outcome(fp, normal);
+      mix_outcome(fp, attacked);
     }
   }
-  EXPECT_EQ(fp.value(), 0x5b7209710216435eull);
+  EXPECT_EQ(fp.value(), 0x8c71acdb008d1afaull);
+}
+
+TEST(EngineGolden, SeededEngineDigestIsPinned) {
+  const GoldenSample& s = golden_sample();
+  const AsGraph& g = s.topo.graph;
+  EngineWorkspace ws(g.num_ases());
+  RoutingOutcome normal, seeded;
+  util::Fingerprint fp;
+  for (const auto& [d, m] : s.pairs) {
+    for (const SecurityModel model : kAllSecurityModels) {
+      const Query q{d, m, model};
+      if (!routing_seed_applicable(q, s.dep)) continue;
+      compute_routing_into(g, {d, kNoAs, model}, s.dep, ws, normal);
+      compute_routing_seeded_into(g, q, s.dep, ws, normal, seeded);
+      mix_outcome(fp, seeded);
+    }
+  }
+  EXPECT_EQ(fp.value(), 0x13f0f34f6ef23953ull);
+}
+
+TEST(EngineGolden, HysteresisEngineDigestIsPinned) {
+  const GoldenSample& s = golden_sample();
+  const AsGraph& g = s.topo.graph;
+  EngineWorkspace ws(g.num_ases());
+  RoutingOutcome normal, hyst;
+  util::Fingerprint fp;
+  for (const auto& [d, m] : s.pairs) {
+    for (const SecurityModel model : kAllSecurityModels) {
+      compute_routing_into(g, {d, kNoAs, model}, s.dep, ws, normal);
+      compute_routing_with_hysteresis_into(g, {d, m, model}, s.dep, ws, normal,
+                                           hyst);
+      mix_outcome(fp, hyst);
+    }
+  }
+  EXPECT_EQ(fp.value(), 0xaf2811eb30bf0828ull);
+}
+
+TEST(EngineGolden, LpLadderDigestIsPinned) {
+  const GoldenSample& s = golden_sample();
+  const AsGraph& g = s.topo.graph;
+  EngineWorkspace ws(g.num_ases());
+  RoutingOutcome base;
+  util::Fingerprint fp;
+  for (const auto& [d, m] : s.pairs) {
+    for (const LocalPrefPolicy lp :
+         {LocalPrefPolicy::standard(), LocalPrefPolicy::lp_k(2)}) {
+      compute_baseline_into(g, d, kNoAs, lp, ws, base);
+      mix_outcome(fp, base);
+      compute_baseline_into(g, d, m, lp, ws, base);
+      mix_outcome(fp, base);
+    }
+  }
+  EXPECT_EQ(fp.value(), 0x8bd91c5db74aad86ull);
+}
+
+TEST(EngineGolden, PerceivableDistancesDigestIsPinned) {
+  const GoldenSample& s = golden_sample();
+  util::Fingerprint fp;
+  for (const auto& [d, m] : s.pairs) {
+    mix_distances(fp, perceivable_distances(s.topo.graph, d));
+    mix_distances(fp, perceivable_distances(s.topo.graph, m, 1));
+  }
+  EXPECT_EQ(fp.value(), 0xf01c942080c9076dull);
 }
 
 }  // namespace

@@ -337,9 +337,23 @@ TEST(Csv, DoubleFormattingRoundTripsExactly) {
   for (const double v : {0.1, 1.0 / 3.0, -2.5e-17, 12345.678901234567}) {
     EXPECT_EQ(parse_double(format_double(v)), v);
   }
-  EXPECT_EQ(parse_u64("18446744073709551615"), 18446744073709551615ull);
-  EXPECT_THROW((void)parse_u64("12x"), std::invalid_argument);
   EXPECT_THROW((void)parse_double(""), std::invalid_argument);
+}
+
+TEST(Csv, ParseU64AcceptsPlainDigitsOnly) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("007"), 7u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), 18446744073709551615ull);
+  // Signs, whitespace, trailing junk, empty fields and 2^64 are rejected,
+  // not wrapped: strtoull would read " -1" as 2^64 - 1 and "+1" as 1.
+  EXPECT_THROW((void)parse_u64(" 1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_u64("+1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_u64("-1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_u64(" -1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_u64("1 "), std::invalid_argument);
+  EXPECT_THROW((void)parse_u64(""), std::invalid_argument);
+  EXPECT_THROW((void)parse_u64("12x"), std::invalid_argument);
+  EXPECT_THROW((void)parse_u64("18446744073709551616"), std::invalid_argument);
 }
 
 TEST(Table, AlignsColumns) {
