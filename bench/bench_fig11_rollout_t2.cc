@@ -16,38 +16,28 @@ int main(int argc, char** argv) {
       ctx, "Figure 11: Tier 2-only rollout (non-stub attackers M')",
       "smaller sec 1st gains than the T1+T2 rollout; narrower 1st-vs-2nd gap");
 
-  const auto baseline = sim::estimate_metric(
-      ctx.graph(), ctx.attackers, ctx.destinations,
-      routing::SecurityModel::kInsecure,
-      routing::Deployment(ctx.graph().num_ases()));
+  // The S = emptyset baseline, then every (rollout step, model) cell.
+  std::vector<sim::ExperimentSpec> specs = {bench::baseline_spec(ctx)};
+  const auto rollout = bench::rollout_specs(ctx, "t2-only");
+  specs.insert(specs.end(), rollout.begin(), rollout.end());
+  const auto rows = sim::run_experiment_suite(ctx.graph(), ctx.tiers, specs);
+
+  const auto baseline = rows.front().stats.happiness.bounds();
   std::cout << "baseline H_{M',V}(empty) = [" << util::pct(baseline.lower)
             << ", " << util::pct(baseline.upper) << "]\n\n";
+  bench::print_rollout_table(std::span(rows).subspan(1), baseline);
 
-  const auto steps = deployment::t2_rollout(ctx.graph(), ctx.tiers,
-                                            deployment::StubMode::kFullSbgp);
-  util::Table table({"step", "secure ASes", "model", "dH lower", "dH upper"});
   double first_gain = 0.0;
   double second_gain = 0.0;
-  for (const auto& step : steps) {
-    for (const auto model : routing::kAllSecurityModels) {
-      const auto h = sim::estimate_metric(ctx.graph(), ctx.attackers,
-                                          ctx.destinations, model,
-                                          step.deployment);
-      table.add_row({step.label, std::to_string(step.total_secure),
-                     bench::short_model(model),
-                     util::pct(h.lower - baseline.lower),
-                     util::pct(h.upper - baseline.upper)});
-      if (&step == &steps.back()) {
-        if (model == routing::SecurityModel::kSecurityFirst) {
-          first_gain = h.lower - baseline.lower;
-        }
-        if (model == routing::SecurityModel::kSecuritySecond) {
-          second_gain = h.lower - baseline.lower;
-        }
-      }
+  const auto last_step =
+      std::span(rows).last(std::size(routing::kAllSecurityModels));
+  for (const auto& row : last_step) {
+    const double gain = row.stats.happiness.bounds().lower - baseline.lower;
+    if (row.model == routing::SecurityModel::kSecurityFirst) first_gain = gain;
+    if (row.model == routing::SecurityModel::kSecuritySecond) {
+      second_gain = gain;
     }
   }
-  table.print(std::cout);
   std::cout << "\nsec1st-vs-sec2nd gap at the last step: "
             << util::pct(first_gain - second_gain)
             << "  (paper: smaller than in the T1+T2 rollout)\n";

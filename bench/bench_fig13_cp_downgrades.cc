@@ -25,10 +25,9 @@ using namespace sbgp;
 
 sim::ExperimentSpec cp_spec(const bench::BenchContext& ctx,
                             std::vector<routing::AsId> dests) {
-  auto spec = bench::base_spec(ctx);
-  spec.scenario = "t1-stubs-cp";
-  spec.model = routing::SecurityModel::kSecurityThird;
-  spec.analyses = sim::Analysis::kDowngrades;
+  auto spec = bench::base_spec(ctx, "t1-stubs-cp",
+                               routing::SecurityModel::kSecurityThird,
+                               sim::Analysis::kDowngrades);
   spec.destinations = std::move(dests);
   return spec;
 }
@@ -63,7 +62,7 @@ int main(int argc, char** argv) {
   std::cout << "\n--- base graph (Figure 13) ---\n";
   std::vector<sim::ExperimentSpec> specs;
   for (const auto cp : cps) specs.push_back(cp_spec(ctx, {cp}));
-  const auto rows = bench::run_suite(ctx, specs);
+  const auto rows = sim::run_experiment_suite(ctx.graph(), ctx.tiers, specs);
 
   util::Table table({"CP dest", "secure routes (normal)", "downgraded",
                      "kept+immune", "kept+other"});

@@ -22,7 +22,7 @@
 
 int main(int argc, char** argv) {
   using namespace sbgp;
-  const auto args = bench::parse_campaign_args(argc, argv);
+  const auto args = bench::parse_args(argc, argv);
 
   // Declarative campaign: one root-cause spec per model on the last T1+T2
   // rollout step, evaluated in a single fused pass per (trial, pair). No

@@ -17,22 +17,22 @@ using namespace sbgp;
 
 void run(const topology::AsGraph& g, const bench::BenchContext& ctx,
          const topology::TierInfo& tiers, const std::string& label) {
-  const auto lp2 = routing::LocalPrefPolicy::lp_k(2);
-  const auto attackers =
+  auto lp2 = bench::partition_spec(ctx, routing::SecurityModel::kSecurityThird);
+  lp2.lp = routing::LocalPrefPolicy::lp_k(2);
+  lp2.attackers =
       sim::sample_ases(sim::all_ases(g), ctx.sample, bench::kSampleSeed + 51);
-  const auto destinations =
+  lp2.destinations =
       sim::sample_ases(sim::all_ases(g), ctx.sample, bench::kSampleSeed + 52);
 
   std::cout << "\n--- " << label << ": overall partitions under LP2 (Figure "
                "24) ---\n";
   util::Table overall({"model", "doomed", "protectable", "immune",
                        "upper bound on H(S)"});
-  for (const auto model :
-       {routing::SecurityModel::kSecuritySecond,
-        routing::SecurityModel::kSecurityThird}) {
-    const auto s =
-        sim::average_partitions(g, attackers, destinations, model, lp2);
-    overall.add_row({bench::short_model(model), util::pct(s.doomed),
+  std::vector<sim::ExperimentSpec> specs = {lp2, lp2};
+  specs[0].model = routing::SecurityModel::kSecuritySecond;
+  for (const auto& row : sim::run_experiment_suite(g, tiers, specs)) {
+    const auto s = row.stats.partitions.shares();
+    overall.add_row({bench::short_model(row.model), util::pct(s.doomed),
                      util::pct(s.protectable), util::pct(s.immune),
                      util::pct(1.0 - s.doomed)});
   }
@@ -46,14 +46,17 @@ void run(const topology::AsGraph& g, const bench::BenchContext& ctx,
       topology::Tier::kStub,  topology::Tier::kSmdg,
       topology::Tier::kContentProvider, topology::Tier::kTier3,
       topology::Tier::kTier2, topology::Tier::kTier1};
+  specs.clear();
   for (const auto tier : order) {
-    const auto dests =
+    auto spec = lp2;
+    spec.label = topology::to_string(tier);
+    spec.destinations =
         sim::sample_ases(tiers.bucket(tier), 12, bench::kSampleSeed + 53);
-    if (dests.empty()) continue;
-    const auto s = sim::average_partitions(
-        g, attackers, dests, routing::SecurityModel::kSecurityThird, lp2);
-    per_tier.add_row({std::string(topology::to_string(tier)),
-                      util::pct(s.doomed), util::pct(s.protectable),
+    if (!spec.destinations.empty()) specs.push_back(std::move(spec));
+  }
+  for (const auto& row : sim::run_experiment_suite(g, tiers, specs)) {
+    const auto s = row.stats.partitions.shares();
+    per_tier.add_row({row.label, util::pct(s.doomed), util::pct(s.protectable),
                       util::pct(s.immune)});
   }
   per_tier.print(std::cout);

@@ -10,7 +10,6 @@
 // bounds ~100% (sec 1st), 89% (2nd), 75% (3rd); IXP: ~100/90/77.
 #include <iostream>
 
-#include "security/partition.h"
 #include "support.h"
 #include "util/chart.h"
 #include "util/table.h"
@@ -19,17 +18,23 @@ namespace {
 
 using namespace sbgp;
 
-void run_on_graph(const topology::AsGraph& g, const bench::BenchContext& ctx,
-                  const std::string& label) {
+void run_on_graph(const topology::AsGraph& g, const topology::TierInfo& tiers,
+                  const bench::BenchContext& ctx, const std::string& label) {
   // Figure 3 averages over all attackers (not only non-stubs).
-  const auto attackers =
+  auto spec =
+      bench::partition_spec(ctx, routing::SecurityModel::kSecurityFirst);
+  spec.attackers =
       sim::sample_ases(sim::all_ases(g), ctx.sample, bench::kSampleSeed + 7);
-  const auto destinations =
+  spec.destinations =
       sim::sample_ases(sim::all_ases(g), ctx.sample, bench::kSampleSeed + 8);
-
-  const auto baseline = sim::estimate_metric(
-      g, attackers, destinations, routing::SecurityModel::kInsecure,
-      routing::Deployment(g.num_ases()));
+  std::vector<sim::ExperimentSpec> specs;
+  for (const auto model : routing::kAllSecurityModels) {
+    specs.push_back(spec);
+    specs.back().model = model;
+  }
+  const auto rows = sim::run_experiment_suite(g, tiers, specs);
+  // Every row's happiness is the S = emptyset baseline.
+  const auto baseline = rows.front().stats.happiness.bounds();
 
   std::cout << "\n--- " << label << " ---\n";
   std::cout << "baseline H(empty) lower bound = " << util::pct(baseline.lower)
@@ -38,13 +43,13 @@ void run_on_graph(const topology::AsGraph& g, const bench::BenchContext& ctx,
   util::Table table({"model", "doomed", "protectable", "immune",
                      "upper bound on H(S)", "max gain vs baseline"});
   std::vector<util::StackedBar> bars;
-  for (const auto model : routing::kAllSecurityModels) {
-    const auto s = sim::average_partitions(g, attackers, destinations, model);
-    table.add_row({bench::short_model(model), util::pct(s.doomed),
+  for (const auto& row : rows) {
+    const auto s = row.stats.partitions.shares();
+    table.add_row({bench::short_model(row.model), util::pct(s.doomed),
                    util::pct(s.protectable), util::pct(s.immune),
                    util::pct(1.0 - s.doomed),
                    util::pct(std::max(0.0, 1.0 - s.doomed - baseline.lower))});
-    bars.push_back({bench::short_model(model),
+    bars.push_back({bench::short_model(row.model),
                     {s.immune, s.protectable, s.doomed}});
   }
   table.print(std::cout);
@@ -63,8 +68,9 @@ int main(int argc, char** argv) {
                       "partitions and the origin-authentication baseline",
                       "sec 3rd gains at most 15% over origin authentication "
                       "for ANY deployment; sec 2nd at most ~29%");
-  run_on_graph(ctx.graph(), ctx, "base graph");
+  run_on_graph(ctx.graph(), ctx.tiers, ctx, "base graph");
   const auto ixp = bench::make_ixp_graph(ctx);
-  run_on_graph(ixp, ctx, "IXP-augmented graph (Appendix J, Figure 19a)");
+  run_on_graph(ixp, topology::classify_tiers(ixp, ctx.topo.content_providers),
+               ctx, "IXP-augmented graph (Appendix J, Figure 19a)");
   return 0;
 }

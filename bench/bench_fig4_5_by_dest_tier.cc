@@ -25,17 +25,20 @@ void per_tier(const bench::BenchContext& ctx, routing::SecurityModel model) {
       topology::Tier::kSmdg,  topology::Tier::kSmallContentProvider,
       topology::Tier::kContentProvider, topology::Tier::kTier3,
       topology::Tier::kTier2, topology::Tier::kTier1};
+  std::vector<sim::ExperimentSpec> specs;
   for (const auto tier : order) {
-    const auto dests = bench::tier_sample(ctx, tier, 16, bench::kSampleSeed + 9);
-    if (dests.empty()) continue;
-    const auto shares =
-        sim::average_partitions(ctx.graph(), ctx.attackers, dests, model);
-    const auto base = sim::estimate_metric(
-        ctx.graph(), ctx.attackers, dests, routing::SecurityModel::kInsecure,
-        routing::Deployment(ctx.graph().num_ases()));
-    table.add_row({std::string(topology::to_string(tier)),
-                   util::pct(shares.doomed), util::pct(shares.protectable),
-                   util::pct(shares.immune), util::pct(base.lower)});
+    auto spec = bench::partition_spec(ctx, model);
+    spec.label = topology::to_string(tier);
+    spec.destinations =
+        bench::tier_sample(ctx, tier, 16, bench::kSampleSeed + 9);
+    if (!spec.destinations.empty()) specs.push_back(std::move(spec));
+  }
+  for (const auto& row :
+       sim::run_experiment_suite(ctx.graph(), ctx.tiers, specs)) {
+    const auto shares = row.stats.partitions.shares();
+    table.add_row({row.label, util::pct(shares.doomed),
+                   util::pct(shares.protectable), util::pct(shares.immune),
+                   util::pct(row.stats.happiness.bounds().lower)});
   }
   table.print(std::cout);
 }

@@ -22,19 +22,23 @@ void by_attacker_tier(const bench::BenchContext& ctx,
                       routing::SecurityModel model) {
   std::cout << "\n--- partitions by attacker tier, "
             << bench::short_model(model) << " ---\n";
-  util::Table table({"attacker tier", "doomed", "protectable", "immune"});
   const topology::Tier order[] = {
       topology::Tier::kStub,  topology::Tier::kStubX,
       topology::Tier::kSmdg,  topology::Tier::kSmallContentProvider,
       topology::Tier::kContentProvider, topology::Tier::kTier3,
       topology::Tier::kTier2, topology::Tier::kTier1};
+  std::vector<sim::ExperimentSpec> specs;
   for (const auto tier : order) {
-    const auto attackers =
-        bench::tier_sample(ctx, tier, 16, bench::kSampleSeed + 11);
-    if (attackers.empty()) continue;
-    const auto shares = sim::average_partitions(ctx.graph(), attackers,
-                                                ctx.destinations, model);
-    table.add_row({std::string(topology::to_string(tier)),
+    auto spec = bench::partition_spec(ctx, model);
+    spec.label = topology::to_string(tier);
+    spec.attackers = bench::tier_sample(ctx, tier, 16, bench::kSampleSeed + 11);
+    if (!spec.attackers.empty()) specs.push_back(std::move(spec));
+  }
+  util::Table table({"attacker tier", "doomed", "protectable", "immune"});
+  for (const auto& row :
+       sim::run_experiment_suite(ctx.graph(), ctx.tiers, specs)) {
+    const auto shares = row.stats.partitions.shares();
+    table.add_row({row.label,
                    util::pct(shares.doomed), util::pct(shares.protectable),
                    util::pct(shares.immune)});
   }
@@ -50,23 +54,24 @@ void by_source_tier(const bench::BenchContext& ctx,
   // the merged totals are thread-count-independent).
   using TierCounts =
       std::array<std::array<std::size_t, 3>, topology::kNumTiers>;
-  const auto pairs = sim::make_attack_pairs(ctx.attackers, ctx.destinations);
+  const auto plan = sim::make_sweep_plan(ctx.attackers, ctx.destinations);
   auto& exec = sim::BatchExecutor::shared();
   const std::size_t workers = exec.effective_workers(0);
   std::vector<TierCounts> per_worker(workers, TierCounts{});
   exec.run(
-      pairs.size(),
-      [&](std::size_t worker, std::size_t i) {
-        const auto m = pairs[i].attacker;
-        const auto d = pairs[i].destination;
-        const security::PartitionContext pctx(
-            ctx.graph(), d, m, model, routing::LocalPrefPolicy::standard(),
-            exec.workspace(worker));
+      plan.groups.size(),
+      [&](std::size_t worker, std::size_t gi) {
+        const auto d = plan.groups[gi].destination;
         auto& counts = per_worker[worker];
-        for (routing::AsId v = 0; v < ctx.graph().num_ases(); ++v) {
-          if (v == d || v == m) continue;
-          const auto t = static_cast<std::size_t>(ctx.tiers.tier(v));
-          ++counts[t][static_cast<std::size_t>(pctx.classify(v))];
+        for (const auto m : plan.groups[gi].attackers) {
+          const security::PartitionContext pctx(
+              ctx.graph(), d, m, model, routing::LocalPrefPolicy::standard(),
+              exec.workspace(worker));
+          for (routing::AsId v = 0; v < ctx.graph().num_ases(); ++v) {
+            if (v == d || v == m) continue;
+            const auto t = static_cast<std::size_t>(ctx.tiers.tier(v));
+            ++counts[t][static_cast<std::size_t>(pctx.classify(v))];
+          }
         }
       },
       workers);

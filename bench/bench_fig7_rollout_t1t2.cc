@@ -18,44 +18,39 @@
 namespace {
 
 using namespace sbgp;
-using deployment::RolloutStep;
 using deployment::StubMode;
 
-void run_variant(const bench::BenchContext& ctx,
-                 const std::vector<RolloutStep>& steps,
-                 const security::MetricBounds& baseline,
-                 const std::string& tag) {
-  util::Table table({"step", "secure ASes", "model", "dH lower", "dH upper"});
-  for (const auto& step : steps) {
-    for (const auto model : routing::kAllSecurityModels) {
-      const auto h =
-          sim::estimate_metric(ctx.graph(), ctx.attackers, ctx.destinations,
-                               model, step.deployment);
-      table.add_row({step.label + tag, std::to_string(step.total_secure),
-                     bench::short_model(model),
-                     util::pct(h.lower - baseline.lower),
-                     util::pct(h.upper - baseline.upper)});
-    }
-  }
-  table.print(std::cout);
-}
-
-void run_secure_destinations(const bench::BenchContext& ctx,
-                             const std::vector<RolloutStep>& steps) {
+void run_secure_destinations(const bench::BenchContext& ctx) {
   std::cout << "\n--- Figure 7(b): averaged over secure destinations d in S "
                "---\n";
-  util::Table table({"step", "model", "dH lower", "dH upper"});
-  for (const auto& step : steps) {
-    const auto dests =
-        sim::sample_ases(step.deployment.secure.members(), ctx.sample,
+  // Per step: the baseline over that step's secure destinations, then the
+  // step under every model over the same destinations.
+  const auto steps = deployment::build_scenario(
+      "t1-t2", ctx.graph(), ctx.tiers, StubMode::kFullSbgp);
+  std::vector<sim::ExperimentSpec> specs;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    auto spec = bench::baseline_spec(ctx);
+    spec.destinations =
+        sim::sample_ases(steps[i].deployment.secure.members(), ctx.sample,
                          bench::kSampleSeed + 21);
+    specs.push_back(spec);
+    spec.scenario = "t1-t2";
+    spec.rollout_step = i;
     for (const auto model : routing::kAllSecurityModels) {
-      const auto before = sim::estimate_metric(
-          ctx.graph(), ctx.attackers, dests, routing::SecurityModel::kInsecure,
-          routing::Deployment(ctx.graph().num_ases()));
-      const auto after = sim::estimate_metric(ctx.graph(), ctx.attackers,
-                                              dests, model, step.deployment);
-      table.add_row({step.label, bench::short_model(model),
+      spec.model = model;
+      specs.push_back(spec);
+    }
+  }
+  const auto rows = sim::run_experiment_suite(ctx.graph(), ctx.tiers, specs);
+
+  util::Table table({"step", "model", "dH lower", "dH upper"});
+  const std::size_t stride = 1 + std::size(routing::kAllSecurityModels);
+  for (std::size_t i = 0; i < rows.size(); i += stride) {
+    const auto before = rows[i].stats.happiness.bounds();
+    for (std::size_t m = 1; m < stride; ++m) {
+      const auto after = rows[i + m].stats.happiness.bounds();
+      table.add_row({rows[i + m].step_label,
+                     bench::short_model(rows[i + m].model),
                      util::pct(after.lower - before.lower),
                      util::pct(after.upper - before.upper)});
     }
@@ -72,20 +67,24 @@ int main(int argc, char** argv) {
       "sec 1st climbs to ~+24% at the last step; sec 2nd/3rd stay meagre; "
       "simplex stubs barely change anything");
 
-  const auto baseline = sim::estimate_metric(
-      ctx.graph(), ctx.attackers, ctx.destinations,
-      routing::SecurityModel::kInsecure,
-      routing::Deployment(ctx.graph().num_ases()));
+  // Figure 7(a): the S = emptyset baseline, then every (step, model) cell
+  // with full and with simplex stubs.
+  std::vector<sim::ExperimentSpec> specs = {bench::baseline_spec(ctx)};
+  for (const auto mode : {StubMode::kFullSbgp, StubMode::kSimplex}) {
+    const auto rollout = bench::rollout_specs(ctx, "t1-t2", mode);
+    specs.insert(specs.end(), rollout.begin(), rollout.end());
+  }
+  const auto rows = sim::run_experiment_suite(ctx.graph(), ctx.tiers, specs);
+  const auto variant = std::span(rows).subspan(1);
+
+  const auto baseline = rows.front().stats.happiness.bounds();
   std::cout << "baseline H_{M',V}(empty) = [" << util::pct(baseline.lower)
             << ", " << util::pct(baseline.upper) << "]\n\n";
   std::cout << "--- Figure 7(a): all destinations ---\n";
-  const auto full =
-      deployment::t1_t2_rollout(ctx.graph(), ctx.tiers, StubMode::kFullSbgp);
-  run_variant(ctx, full, baseline, "");
+  bench::print_rollout_table(variant.first(variant.size() / 2), baseline);
   std::cout << "\n--- simplex-stub variant (the paper's error bars) ---\n";
-  const auto simplex =
-      deployment::t1_t2_rollout(ctx.graph(), ctx.tiers, StubMode::kSimplex);
-  run_variant(ctx, simplex, baseline, " (simplex)");
-  run_secure_destinations(ctx, full);
+  bench::print_rollout_table(variant.last(variant.size() / 2), baseline,
+                             " (simplex)");
+  run_secure_destinations(ctx);
   return 0;
 }

@@ -19,27 +19,20 @@ int main(int argc, char** argv) {
       "last step: >= ~26% (sec 1st), ~9.4% (2nd), ~4% (3rd); CPs enjoy an "
       "above-average baseline");
 
-  const auto& cps = ctx.tiers.bucket(topology::Tier::kContentProvider);
-  const auto baseline = sim::estimate_metric(
-      ctx.graph(), ctx.attackers, cps, routing::SecurityModel::kInsecure,
-      routing::Deployment(ctx.graph().num_ases()));
+  // The S = emptyset baseline, then every (rollout step, model) cell, all
+  // over the CP destinations.
+  std::vector<sim::ExperimentSpec> specs = {bench::baseline_spec(ctx)};
+  const auto rollout = bench::rollout_specs(ctx, "t1-t2-cp");
+  specs.insert(specs.end(), rollout.begin(), rollout.end());
+  for (auto& spec : specs) {
+    spec.destinations = ctx.tiers.bucket(topology::Tier::kContentProvider);
+  }
+  const auto rows = sim::run_experiment_suite(ctx.graph(), ctx.tiers, specs);
+
+  const auto baseline = rows.front().stats.happiness.bounds();
   std::cout << "baseline H_{M',CP}(empty) = [" << util::pct(baseline.lower)
             << ", " << util::pct(baseline.upper) << "]\n\n";
-
-  const auto steps = deployment::t1_t2_cp_rollout(
-      ctx.graph(), ctx.tiers, deployment::StubMode::kFullSbgp);
-  util::Table table({"step", "secure ASes", "model", "dH lower", "dH upper"});
-  for (const auto& step : steps) {
-    for (const auto model : routing::kAllSecurityModels) {
-      const auto h = sim::estimate_metric(ctx.graph(), ctx.attackers, cps,
-                                          model, step.deployment);
-      table.add_row({step.label, std::to_string(step.total_secure),
-                     bench::short_model(model),
-                     util::pct(h.lower - baseline.lower),
-                     util::pct(h.upper - baseline.upper)});
-    }
-  }
-  table.print(std::cout);
+  bench::print_rollout_table(std::span(rows).subspan(1), baseline);
   std::cout << "\nexpected ordering at every step: sec 1st > sec 2nd > sec "
                "3rd, with sec 3rd close to zero.\n";
   return 0;

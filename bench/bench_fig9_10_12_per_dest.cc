@@ -25,25 +25,48 @@ struct Series {
   std::vector<double> happy_lower;  // H_{M',d}(S) itself
 };
 
-Series per_destination_series(const bench::BenchContext& ctx,
-                              const routing::Deployment& dep,
-                              const std::vector<routing::AsId>& dests,
-                              routing::SecurityModel model) {
-  const auto before = sim::metric_per_destination(
-      ctx.graph(), ctx.attackers, dests, routing::SecurityModel::kInsecure,
-      routing::Deployment(ctx.graph().num_ases()));
-  const auto after = sim::metric_per_destination(ctx.graph(), ctx.attackers,
-                                                 dests, model, dep);
-  Series s;
-  for (std::size_t i = 0; i < dests.size(); ++i) {
-    s.delta_lower.push_back(after[i].lower - before[i].lower);
-    s.happy_lower.push_back(after[i].lower);
+/// H_{M',d}(S).lower for every d in `dests`. The suite returns totals
+/// only, so the per-destination series comes straight from analyze_sweep.
+std::vector<double> happy_lower_per_destination(
+    const bench::BenchContext& ctx, const routing::Deployment& dep,
+    const std::vector<routing::AsId>& dests, routing::SecurityModel model) {
+  sim::PairAnalysisConfig cfg;
+  cfg.analyses = sim::Analysis::kHappiness;
+  cfg.model = model;
+  const auto result = sim::analyze_sweep(
+      ctx.graph(), sim::make_sweep_plan(ctx.attackers, dests), cfg, dep);
+  std::vector<double> out;
+  for (const auto& stats : result.per_destination) {
+    out.push_back(stats.happiness.bounds().lower);
   }
-  return s;
+  return out;
+}
+
+/// The series of every model against the S = emptyset baseline over the
+/// same destinations, which is computed once.
+std::vector<Series> per_destination_series(
+    const bench::BenchContext& ctx, const routing::Deployment& dep,
+    const std::vector<routing::AsId>& dests) {
+  const auto before = happy_lower_per_destination(
+      ctx, routing::Deployment(ctx.graph().num_ases()), dests,
+      routing::SecurityModel::kInsecure);
+  std::vector<Series> out;
+  for (const auto model : routing::kAllSecurityModels) {
+    Series s;
+    s.happy_lower = happy_lower_per_destination(ctx, dep, dests, model);
+    for (std::size_t i = 0; i < dests.size(); ++i) {
+      s.delta_lower.push_back(s.happy_lower[i] - before[i]);
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
 }
 
 void run_scenario(const bench::BenchContext& ctx, const std::string& name,
-                  const routing::Deployment& dep, bool includes_t1s) {
+                  const std::string& scenario, bool includes_t1s) {
+  const auto steps = deployment::build_scenario(
+      scenario, ctx.graph(), ctx.tiers, deployment::StubMode::kFullSbgp);
+  const auto& dep = steps.back().deployment;
   std::cout << "\n--- " << name << " (" << dep.secure.count()
             << " secure ASes) ---\n";
   const auto dests = sim::sample_ases(dep.secure.members(),
@@ -51,17 +74,16 @@ void run_scenario(const bench::BenchContext& ctx, const std::string& name,
                                       bench::kSampleSeed + 31);
 
   util::Table table({"model", "p10", "p50", "p90", "mean dH", "mean H(S)"});
-  Series series[3];
-  int idx = 0;
-  for (const auto model : routing::kAllSecurityModels) {
-    auto s = per_destination_series(ctx, dep, dests, model);
+  const auto series = per_destination_series(ctx, dep, dests);
+  for (std::size_t idx = 0; idx < series.size(); ++idx) {
+    const auto model = routing::kAllSecurityModels[idx];
+    const auto& s = series[idx];
     table.add_row({bench::short_model(model),
                    util::pct(util::quantile(s.delta_lower, 0.1)),
                    util::pct(util::quantile(s.delta_lower, 0.5)),
                    util::pct(util::quantile(s.delta_lower, 0.9)),
                    util::pct(util::summarize(s.delta_lower).mean),
                    util::pct(util::summarize(s.happy_lower).mean)});
-    series[idx++] = std::move(s);
   }
   table.print(std::cout);
 
@@ -84,12 +106,13 @@ void run_scenario(const bench::BenchContext& ctx, const std::string& name,
 
   if (includes_t1s) {
     // Tier 1 destinations specifically.
-    const auto& t1s = ctx.tiers.bucket(topology::Tier::kTier1);
+    const auto t1_series = per_destination_series(
+        ctx, dep, ctx.tiers.bucket(topology::Tier::kTier1));
     util::Table t1_table({"model", "mean dH at T1 destinations"});
-    for (const auto model : routing::kAllSecurityModels) {
-      const auto s = per_destination_series(ctx, dep, t1s, model);
-      t1_table.add_row({bench::short_model(model),
-                        util::pct(util::summarize(s.delta_lower).mean)});
+    for (std::size_t idx = 0; idx < t1_series.size(); ++idx) {
+      t1_table.add_row(
+          {bench::short_model(routing::kAllSecurityModels[idx]),
+           util::pct(util::summarize(t1_series[idx].delta_lower).mean)});
     }
     std::cout << '\n';
     t1_table.print(std::cout);
@@ -107,18 +130,11 @@ int main(int argc, char** argv) {
       "sec 1st protects secure destinations almost fully (96.8-97.9% happy); "
       "sec 2nd helps only some; the 2nd-vs-1st gap narrows without T1s");
 
-  const auto t1t2 = deployment::t1_t2_rollout(ctx.graph(), ctx.tiers,
-                                              deployment::StubMode::kFullSbgp);
-  run_scenario(ctx, "Figure 9: S = T1s + T2s + stubs",
-               t1t2.back().deployment, /*includes_t1s=*/true);
-
-  const auto t2 = deployment::t2_rollout(ctx.graph(), ctx.tiers,
-                                         deployment::StubMode::kFullSbgp);
-  run_scenario(ctx, "Figure 10: S = T2s + stubs", t2.back().deployment,
+  run_scenario(ctx, "Figure 9: S = T1s + T2s + stubs", "t1-t2",
+               /*includes_t1s=*/true);
+  run_scenario(ctx, "Figure 10: S = T2s + stubs", "t2-only",
                /*includes_t1s=*/false);
-
-  run_scenario(ctx, "Figure 12: S = all non-stubs",
-               deployment::nonstub_deployment(ctx.graph()),
+  run_scenario(ctx, "Figure 12: S = all non-stubs", "nonstub",
                /*includes_t1s=*/false);
   return 0;
 }

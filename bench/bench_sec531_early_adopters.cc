@@ -15,24 +15,33 @@ namespace {
 using namespace sbgp;
 
 void evaluate(const bench::BenchContext& ctx, const std::string& name,
-              const routing::Deployment& dep) {
+              const std::string& scenario) {
+  const auto steps = deployment::build_scenario(
+      scenario, ctx.graph(), ctx.tiers, deployment::StubMode::kFullSbgp);
+  const auto& dep = steps.back().deployment;
+  // The S = emptyset baseline over the scenario's secure destinations,
+  // then the scenario under every model over the same destinations.
+  std::vector<sim::ExperimentSpec> specs = {bench::baseline_spec(ctx)};
+  for (const auto model : routing::kAllSecurityModels) {
+    specs.push_back(bench::base_spec(ctx, scenario, model));
+  }
   const auto dests = sim::sample_ases(dep.secure.members(),
                                       std::max<std::size_t>(ctx.sample * 3, 64),
                                       bench::kSampleSeed + 41);
+  for (auto& spec : specs) spec.destinations = dests;
+  const auto rows = sim::run_experiment_suite(ctx.graph(), ctx.tiers, specs);
+
   std::cout << "\n--- " << name << " (" << dep.secure.count()
             << " secure = "
             << util::pct(static_cast<double>(dep.secure.count()) /
                          static_cast<double>(ctx.graph().num_ases()))
             << " of the graph) ---\n";
   util::Table table({"model", "avg dH over secure destinations (lower)"});
-  for (const auto model : routing::kAllSecurityModels) {
-    const auto before = sim::estimate_metric(
-        ctx.graph(), ctx.attackers, dests, routing::SecurityModel::kInsecure,
-        routing::Deployment(ctx.graph().num_ases()));
-    const auto after =
-        sim::estimate_metric(ctx.graph(), ctx.attackers, dests, model, dep);
-    table.add_row(
-        {bench::short_model(model), util::pct(after.lower - before.lower)});
+  const auto before = rows.front().stats.happiness.bounds();
+  for (std::size_t r = 1; r < rows.size(); ++r) {
+    const auto after = rows[r].stats.happiness.bounds();
+    table.add_row({bench::short_model(rows[r].model),
+                   util::pct(after.lower - before.lower)});
   }
   table.print(std::cout);
 }
@@ -45,17 +54,9 @@ int main(int argc, char** argv) {
       ctx, "Section 5.3.1: early adopters - Tier 1s vs Tier 2s",
       "T1s+stubs: <0.2% gain (sec 2nd/3rd); 13 largest T2s+stubs: ~1%");
 
-  evaluate(ctx, "all Tier 1s + their stubs",
-           deployment::t1_and_stubs(ctx.graph(), ctx.tiers,
-                                    /*include_cps=*/false,
-                                    deployment::StubMode::kFullSbgp));
-  evaluate(ctx, "all Tier 1s + their stubs + CPs",
-           deployment::t1_and_stubs(ctx.graph(), ctx.tiers,
-                                    /*include_cps=*/true,
-                                    deployment::StubMode::kFullSbgp));
-  evaluate(ctx, "13 largest Tier 2s + their stubs",
-           deployment::top_t2_and_stubs(ctx.graph(), ctx.tiers, 13,
-                                        deployment::StubMode::kFullSbgp));
+  evaluate(ctx, "all Tier 1s + their stubs", "t1-stubs");
+  evaluate(ctx, "all Tier 1s + their stubs + CPs", "t1-stubs-cp");
+  evaluate(ctx, "13 largest Tier 2s + their stubs", "top13-t2-stubs");
   std::cout << "\nexpected shape: the Tier 2 scenario beats both Tier 1 "
                "scenarios under security 2nd and 3rd.\n";
   return 0;

@@ -15,62 +15,68 @@
 // recover without asking operators to re-rank their economics?
 #include <iostream>
 
-#include "routing/engine.h"
-#include "security/happiness.h"
-#include "sim/pair_analysis.h"
 #include "support.h"
 #include "util/table.h"
 
-namespace {
-
-using namespace sbgp;
-
-security::MetricBounds metric_with(
-    const bench::BenchContext& ctx, const routing::Deployment& dep,
-    routing::SecurityModel model, bool hysteresis,
-    const std::vector<routing::AsId>& dests) {
-  sim::PairAnalysisConfig cfg;
-  cfg.analyses = sim::Analysis::kHappiness;
-  cfg.model = model;
-  cfg.hysteresis = hysteresis;
-  return sim::analyze_sweep(ctx.graph(),
-                            sim::make_sweep_plan(ctx.attackers, dests), cfg,
-                            dep)
-      .total.happiness.bounds();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace sbgp;
+  using routing::SecurityModel;
   const auto ctx = bench::make_context(argc, argv);
   bench::print_banner(
       ctx, "Section 8 extensions: hysteresis and security islands",
       "downgrades cause most negative results; a fix that prevents them "
       "should recover much of the security-1st protection");
 
-  const auto rollout = deployment::t1_t2_rollout(
-      ctx.graph(), ctx.tiers, deployment::StubMode::kFullSbgp);
-  const auto& dep = rollout.back().deployment;
-  const auto baseline =
-      sim::estimate_metric(ctx.graph(), ctx.attackers, ctx.destinations,
-                           routing::SecurityModel::kInsecure,
-                           routing::Deployment(ctx.graph().num_ases()));
+  // S = the last "t1-t2" rollout step. Islands are evaluated over a sample
+  // of its secure destinations.
+  const auto steps = deployment::build_scenario(
+      "t1-t2", ctx.graph(), ctx.tiers, deployment::StubMode::kFullSbgp);
+  const auto island_dests =
+      sim::sample_ases(steps.back().deployment.secure.members(), ctx.sample,
+                       bench::kSampleSeed + 77);
+  const auto spec = [&](SecurityModel model, bool hysteresis,
+                        const std::vector<routing::AsId>& dests) {
+    auto s = bench::base_spec(ctx, "t1-t2", model);
+    s.hysteresis = hysteresis;
+    s.destinations = dests;
+    return s;
+  };
+  auto base_island = bench::baseline_spec(ctx);
+  base_island.destinations = island_dests;
+  const std::vector<sim::ExperimentSpec> specs = {
+      // 0-5: all destinations.
+      bench::baseline_spec(ctx),
+      spec(SecurityModel::kSecurityFirst, false, ctx.destinations),
+      spec(SecurityModel::kSecuritySecond, false, ctx.destinations),
+      spec(SecurityModel::kSecuritySecond, true, ctx.destinations),
+      spec(SecurityModel::kSecurityThird, false, ctx.destinations),
+      spec(SecurityModel::kSecurityThird, true, ctx.destinations),
+      // 6-10: secure destinations only.
+      base_island,
+      spec(SecurityModel::kSecurityFirst, false, island_dests),
+      spec(SecurityModel::kSecuritySecond, false, island_dests),
+      spec(SecurityModel::kSecurityThird, false, island_dests),
+      spec(SecurityModel::kSecurityThird, true, island_dests),
+  };
+  const auto rows = sim::run_experiment_suite(ctx.graph(), ctx.tiers, specs);
+  const auto h = [&](std::size_t i) {
+    return rows[i].stats.happiness.bounds();
+  };
+
+  const auto baseline = h(0);
   std::cout << "S = T1s + T2s + stubs; baseline H(empty) = ["
             << util::pct(baseline.lower) << ", " << util::pct(baseline.upper)
             << "]\n\n--- hysteresis vs plain, all destinations ---\n";
 
   util::Table table({"model", "plain dH", "with hysteresis dH",
                      "gap to sec 1st closed"});
-  const auto first =
-      metric_with(ctx, dep, routing::SecurityModel::kSecurityFirst, false,
-                  ctx.destinations);
-  for (const auto model : {routing::SecurityModel::kSecuritySecond,
-                           routing::SecurityModel::kSecurityThird}) {
-    const auto plain = metric_with(ctx, dep, model, false, ctx.destinations);
-    const auto sticky = metric_with(ctx, dep, model, true, ctx.destinations);
+  const auto first = h(1);
+  for (const std::size_t i : {2, 4}) {
+    const auto plain = h(i);
+    const auto sticky = h(i + 1);
     const double gap = first.lower - plain.lower;
     const double closed = sticky.lower - plain.lower;
-    table.add_row({bench::short_model(model),
+    table.add_row({bench::short_model(rows[i].model),
                    util::pct(plain.lower - baseline.lower),
                    util::pct(sticky.lower - baseline.lower),
                    gap > 0 ? util::pct(closed / gap) : "-"});
@@ -82,21 +88,12 @@ int main(int argc, char** argv) {
   std::cout << "\n--- security islands (secure destinations only) ---\n"
             << "For d in S the island agreement IS the security 1st model "
                "(SecP placement is vacuous when no secure route exists):\n";
-  const auto island_dests = sim::sample_ases(dep.secure.members(), ctx.sample,
-                                             bench::kSampleSeed + 77);
   util::Table island({"policy for island routes", "H over d in S (lower)"});
-  const auto base_island = sim::estimate_metric(
-      ctx.graph(), ctx.attackers, island_dests,
-      routing::SecurityModel::kInsecure,
-      routing::Deployment(ctx.graph().num_ases()));
-  island.add_row({"origin auth only", util::pct(base_island.lower)});
-  for (const auto model : routing::kAllSecurityModels) {
-    const auto h = metric_with(ctx, dep, model, false, island_dests);
-    island.add_row({bench::short_model(model), util::pct(h.lower)});
+  island.add_row({"origin auth only", util::pct(h(6).lower)});
+  for (std::size_t i = 7; i < 10; ++i) {
+    island.add_row({bench::short_model(rows[i].model), util::pct(h(i).lower)});
   }
-  const auto sticky3 = metric_with(
-      ctx, dep, routing::SecurityModel::kSecurityThird, true, island_dests);
-  island.add_row({"sec 3rd + hysteresis", util::pct(sticky3.lower)});
+  island.add_row({"sec 3rd + hysteresis", util::pct(h(10).lower)});
   island.print(std::cout);
   std::cout << "\nreading: the island policy (= sec 1st row) and hysteresis "
                "both rescue most of what sec 2nd/3rd leave on the table.\n";

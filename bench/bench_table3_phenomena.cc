@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   // The worked examples run on the paper's hand-built case-study graphs
   // and the aggregate part on campaign-generated topologies, so no
   // context graph is needed at all.
-  const auto args = bench::parse_campaign_args(argc, argv, 8000, 24);
+  const auto args = bench::parse_args(argc, argv, 8000, 24);
   auto campaign = bench::base_campaign(args);
   bench::print_campaign_banner(
       campaign, args.sample, "Table 3: phenomena by security model",

@@ -1,23 +1,49 @@
 #include "support.h"
 
+#include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
 
+#include "util/csv.h"
 #include "util/table.h"
 
 namespace sbgp::bench {
 
+namespace {
+
+[[noreturn]] void usage_error(const char* prog) {
+  std::cerr << "usage: " << prog << " [num_ases] [sample_per_side] [trials]\n"
+            << "  each a positive integer, num_ases at most 4294967295\n";
+  std::exit(2);
+}
+
+}  // namespace
+
+BenchArgs parse_args(int argc, char** argv, std::uint32_t default_n,
+                     std::size_t default_sample) {
+  const auto arg = [&](int i, std::uint64_t max) -> std::uint64_t {
+    try {
+      const std::uint64_t value = util::parse_u64(argv[i]);
+      if (value >= 1 && value <= max) return value;
+    } catch (const std::invalid_argument&) {
+    }
+    usage_error(argv[0]);
+  };
+  if (argc > 4) usage_error(argv[0]);
+  BenchArgs args{default_n, default_sample, 2};
+  if (argc > 1) args.num_ases = static_cast<std::uint32_t>(arg(1, UINT32_MAX));
+  if (argc > 2) args.sample = arg(2, SIZE_MAX);
+  if (argc > 3) args.trials = arg(3, SIZE_MAX);
+  return args;
+}
+
 BenchContext make_context(int argc, char** argv, std::uint32_t default_n,
                           std::size_t default_sample) {
+  const BenchArgs args = parse_args(argc, argv, default_n, default_sample);
   BenchContext ctx;
-  std::uint32_t n = default_n;
-  ctx.sample = default_sample;
-  if (argc > 1) n = static_cast<std::uint32_t>(std::strtoul(argv[1], nullptr, 10));
-  if (argc > 2) {
-    ctx.sample =
-        static_cast<std::size_t>(std::strtoul(argv[2], nullptr, 10));
-  }
+  ctx.sample = args.sample;
 
-  topology::GeneratorParams params = topology::scaled_params(n);
+  topology::GeneratorParams params = topology::scaled_params(args.num_ases);
   params.seed = kGraphSeed;
   ctx.topo = topology::generate_internet(params);
   ctx.tiers = ctx.topo.classify();
@@ -62,38 +88,59 @@ std::vector<AsId> tier_sample(const BenchContext& ctx, Tier t, std::size_t cap,
   return sim::sample_ases(ctx.tiers.bucket(t), cap, seed);
 }
 
-sim::ExperimentSpec base_spec(const BenchContext& ctx) {
+sim::ExperimentSpec base_spec(const BenchContext& ctx,
+                              const std::string& scenario,
+                              SecurityModel model, sim::AnalysisSet analyses) {
   sim::ExperimentSpec spec;
+  spec.scenario = scenario;
+  spec.model = model;
+  spec.analyses = analyses;
   spec.attackers = ctx.attackers;
   spec.destinations = ctx.destinations;
   return spec;
 }
 
-std::vector<sim::ExperimentRow> run_suite(
-    const BenchContext& ctx, const std::vector<sim::ExperimentSpec>& specs) {
-  return sim::run_experiment_suite(ctx.graph(), ctx.tiers, specs);
+sim::ExperimentSpec baseline_spec(const BenchContext& ctx) {
+  return base_spec(ctx, "empty", SecurityModel::kInsecure);
 }
 
-CampaignArgs parse_campaign_args(int argc, char** argv,
-                                 std::uint32_t default_n,
-                                 std::size_t default_sample) {
-  CampaignArgs args;
-  args.num_ases = default_n;
-  args.sample = default_sample;
-  if (argc > 1) {
-    args.num_ases =
-        static_cast<std::uint32_t>(std::strtoul(argv[1], nullptr, 10));
-  }
-  if (argc > 2) {
-    args.sample = static_cast<std::size_t>(std::strtoul(argv[2], nullptr, 10));
-  }
-  if (argc > 3) {
-    args.trials = std::max<std::size_t>(1, std::strtoul(argv[3], nullptr, 10));
-  }
-  return args;
+sim::ExperimentSpec partition_spec(const BenchContext& ctx,
+                                   SecurityModel model) {
+  return base_spec(ctx, "empty", model,
+                   sim::Analysis::kHappiness | sim::Analysis::kPartitions);
 }
 
-sim::CampaignSpec base_campaign(const CampaignArgs& args) {
+std::vector<sim::ExperimentSpec> rollout_specs(const BenchContext& ctx,
+                                               const std::string& scenario,
+                                               deployment::StubMode mode) {
+  const std::size_t num_steps =
+      deployment::build_scenario(scenario, ctx.graph(), ctx.tiers, mode)
+          .size();
+  std::vector<sim::ExperimentSpec> specs;
+  for (std::size_t i = 0; i < num_steps; ++i) {
+    for (const auto model : routing::kAllSecurityModels) {
+      specs.push_back(base_spec(ctx, scenario, model));
+      specs.back().rollout_step = i;
+      specs.back().stub_mode = mode;
+    }
+  }
+  return specs;
+}
+
+void print_rollout_table(std::span<const sim::ExperimentRow> rows,
+                         const security::MetricBounds& baseline,
+                         const std::string& tag) {
+  util::Table table({"step", "secure ASes", "model", "dH lower", "dH upper"});
+  for (const auto& row : rows) {
+    const auto h = row.stats.happiness.bounds();
+    table.add_row({row.step_label + tag, std::to_string(row.total_secure),
+                   short_model(row.model), util::pct(h.lower - baseline.lower),
+                   util::pct(h.upper - baseline.upper)});
+  }
+  table.print(std::cout);
+}
+
+sim::CampaignSpec base_campaign(const BenchArgs& args) {
   sim::CampaignSpec campaign;
   campaign.topology =
       std::string(topology::nearest_topology(args.num_ases).name);

@@ -1,19 +1,23 @@
 // Shared setup for the figure/table reproduction benches.
 //
 // Every bench binary builds the same deterministic synthetic Internet
-// (DESIGN.md section 1), classifies tiers, samples attacker/destination
-// sets, and prints results in a uniform format with a "paper:" reference
-// line so the reproduced shape can be compared at a glance.
+// (topology/generator.h), classifies tiers, samples attacker/destination
+// sets, states its study as a list of sim::ExperimentSpec cells, and prints
+// results in a uniform format with a "paper:" reference line so the
+// reproduced shape can be compared at a glance.
 //
 // All benches accept optional positional arguments:
 //   argv[1]  number of ASes        (default 8000)
 //   argv[2]  sample size per side  (default 40 attackers x 40 destinations)
 //   argv[3]  campaign trials       (default 2; used by campaign-based benches)
+// Each is a positive decimal integer (num_ases at most 2^32 - 1). A bad or
+// extra argument prints a usage line to stderr and exits with status 2.
 #ifndef SBGP_BENCH_SUPPORT_H
 #define SBGP_BENCH_SUPPORT_H
 
 #include <cstdint>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,7 +26,6 @@
 #include "security/partition.h"
 #include "sim/campaign.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "topology/generator.h"
 #include "topology/ixp.h"
 #include "topology/registry.h"
@@ -38,6 +41,19 @@ using topology::Tier;
 
 inline constexpr std::uint64_t kGraphSeed = 20130812;
 inline constexpr std::uint64_t kSampleSeed = 4242;
+
+/// The positional arguments, shared by every bench.
+struct BenchArgs {
+  std::uint32_t num_ases = 8000;
+  std::size_t sample = 40;
+  std::size_t trials = 2;
+};
+
+/// Parses argv[1..3] over the given defaults; a bad or fourth argument
+/// prints a usage line to stderr and exits with status 2.
+[[nodiscard]] BenchArgs parse_args(int argc, char** argv,
+                                   std::uint32_t default_n = 8000,
+                                   std::size_t default_sample = 40);
 
 struct BenchContext {
   topology::GeneratedTopology topo;
@@ -69,29 +85,39 @@ void print_banner(const BenchContext& ctx, const std::string& experiment,
                                             std::size_t cap,
                                             std::uint64_t seed);
 
-/// An experiment spec pre-wired to the context's attacker/destination
-/// samples; callers fill in scenario, model and analyses.
-[[nodiscard]] sim::ExperimentSpec base_spec(const BenchContext& ctx);
+/// A spec over the context's attacker/destination samples: `analyses`
+/// under `model` at the last step of the registry scenario `scenario`.
+[[nodiscard]] sim::ExperimentSpec base_spec(
+    const BenchContext& ctx, const std::string& scenario = "t1-t2",
+    SecurityModel model = SecurityModel::kSecurityThird,
+    sim::AnalysisSet analyses = sim::Analysis::kHappiness);
 
-/// Runs a suite on the context's graph and tiers.
-[[nodiscard]] std::vector<sim::ExperimentRow> run_suite(
-    const BenchContext& ctx, const std::vector<sim::ExperimentSpec>& specs);
+/// The S = emptyset baseline: happiness on the "empty" scenario under the
+/// insecure model.
+[[nodiscard]] sim::ExperimentSpec baseline_spec(const BenchContext& ctx);
 
-/// Positional args of the campaign-based benches. Unlike BenchContext,
-/// parsing these generates nothing: campaigns build their own per-trial
-/// topologies, so there is no context graph to pay for.
-struct CampaignArgs {
-  std::uint32_t num_ases = 8000;  // mapped onto the nearest registry entry
-  std::size_t sample = 40;
-  std::size_t trials = 2;
-};
-[[nodiscard]] CampaignArgs parse_campaign_args(int argc, char** argv,
-                                               std::uint32_t default_n = 8000,
-                                               std::size_t default_sample = 40);
+/// Partitions and happiness under `model` on the "empty" scenario.
+/// Partitions are deployment-invariant, and on S = emptyset every model
+/// routes alike, so the row's happiness is the baseline H(empty).
+[[nodiscard]] sim::ExperimentSpec partition_spec(const BenchContext& ctx,
+                                                 SecurityModel model);
+
+/// Every (rollout step, model) cell of a registry scenario over the
+/// context's samples, happiness only, step-major.
+[[nodiscard]] std::vector<sim::ExperimentSpec> rollout_specs(
+    const BenchContext& ctx, const std::string& scenario,
+    deployment::StubMode mode = deployment::StubMode::kFullSbgp);
+
+/// The rollout figures' table: per row its step (suffixed with `tag`),
+/// secure ASes, model, and the change of both bounds against `baseline`.
+void print_rollout_table(std::span<const sim::ExperimentRow> rows,
+                         const security::MetricBounds& baseline,
+                         const std::string& tag = "");
 
 /// Campaign shell over the registry topology closest to args.num_ases,
-/// with args.trials trials; callers fill `experiments`.
-[[nodiscard]] sim::CampaignSpec base_campaign(const CampaignArgs& args);
+/// with args.trials trials; callers fill `experiments`. Campaign benches
+/// need no BenchContext: every topology they touch is a campaign trial.
+[[nodiscard]] sim::CampaignSpec base_campaign(const BenchArgs& args);
 
 /// Banner for campaign benches: experiment id, topology x trials, samples.
 void print_campaign_banner(const sim::CampaignSpec& campaign,

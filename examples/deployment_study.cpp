@@ -9,15 +9,39 @@
 // study is data, and any single trial is reproducible in isolation.
 //
 //   ./example_deployment_study [topology] [trials] [samples]
+//
+// trials and samples are positive integers; anything else prints a usage
+// line and exits with status 2.
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "sim/campaign.h"
+#include "util/csv.h"
 #include "util/stats.h"
 #include "util/table.h"
 
+namespace {
+
+[[noreturn]] void usage_error(const char* prog) {
+  std::cerr << "usage: " << prog << " [topology] [trials] [samples]\n";
+  std::exit(2);
+}
+
+std::size_t positive_arg(char** argv, int i) {
+  try {
+    const auto value = sbgp::util::parse_u64(argv[i]);
+    if (value >= 1) return value;
+  } catch (const std::invalid_argument&) {
+  }
+  usage_error(argv[0]);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace sbgp;
+  if (argc > 4) usage_error(argv[0]);
   sim::CampaignSpec campaign;
   campaign.label = "deployment-study";
   campaign.topology = "small-2k";
@@ -25,8 +49,8 @@ int main(int argc, char** argv) {
   campaign.seed = 1;
   std::size_t samples = 24;
   if (argc > 1) campaign.topology = argv[1];
-  if (argc > 2) campaign.trials = std::strtoul(argv[2], nullptr, 10);
-  if (argc > 3) samples = std::strtoul(argv[3], nullptr, 10);
+  if (argc > 2) campaign.trials = positive_arg(argv, 2);
+  if (argc > 3) samples = positive_arg(argv, 3);
 
   const auto spec_for = [&](const std::string& scenario,
                             routing::SecurityModel model) {

@@ -7,7 +7,7 @@
 
 #include "deployment/scenario.h"
 #include "routing/engine.h"
-#include "sim/runner.h"
+#include "sim/experiment.h"
 #include "topology/generator.h"
 #include "util/table.h"
 
@@ -44,19 +44,31 @@ int main() {
             << " sources fall for the bogus route\n\n";
 
   // 4. The paper's metric H_{M,D}(S): average fraction of happy sources,
-  //    with tie-break bounds, over sampled attacker/destination pairs.
-  const auto attackers = sim::sample_ases(sim::non_stub_ases(topo.graph), 24, 1);
-  const auto dests = sim::sample_ases(sim::all_ases(topo.graph), 24, 2);
-  const auto baseline =
-      sim::estimate_metric(topo.graph, attackers, dests,
-                           routing::SecurityModel::kInsecure,
-                           routing::Deployment(topo.graph.num_ases()));
+  //    with tie-break bounds, over 24 sampled non-stub attackers x 24
+  //    destinations. A study is a list of experiment specs: the S =
+  //    emptyset baseline, then the same rollout step under every model.
+  sim::ExperimentSpec baseline_spec;
+  baseline_spec.scenario = "empty";
+  baseline_spec.model = routing::SecurityModel::kInsecure;
+  baseline_spec.analyses = sim::Analysis::kHappiness;
+  baseline_spec.num_attackers = 24;
+  baseline_spec.num_destinations = 24;
+  baseline_spec.sample_seed = 1;
+  std::vector<sim::ExperimentSpec> specs = {baseline_spec};
+  for (const auto model : routing::kAllSecurityModels) {
+    auto spec = baseline_spec;
+    spec.scenario = "t1-t2";
+    spec.model = model;
+    specs.push_back(spec);
+  }
+  const auto rows = sim::run_experiment_suite(topo.graph, tiers, specs);
+  const auto baseline = rows.front().stats.happiness.bounds();
   util::Table table({"model", "H(S) lower", "H(S) upper", "gain vs origin auth"});
   table.add_row({"origin auth only", util::pct(baseline.lower),
                  util::pct(baseline.upper), "-"});
-  for (const auto model : routing::kAllSecurityModels) {
-    const auto h = sim::estimate_metric(topo.graph, attackers, dests, model, dep);
-    table.add_row({std::string(to_string(model)), util::pct(h.lower),
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    const auto h = rows[i].stats.happiness.bounds();
+    table.add_row({std::string(to_string(rows[i].model)), util::pct(h.lower),
                    util::pct(h.upper), util::pct(h.lower - baseline.lower)});
   }
   table.print(std::cout);

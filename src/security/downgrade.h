@@ -62,7 +62,7 @@ struct DowngradeStats {
                                                 routing::SecurityModel model,
                                                 const Deployment& dep);
 
-/// Workspace variant for batch runners: the three underlying computations
+/// Workspace variant for batch sweeps: the three underlying computations
 /// reuse ws buffers (normal state in ws.normal, attacked state in
 /// ws.primary, partition state in ws.baseline / reach scratch).
 [[nodiscard]] DowngradeStats analyze_downgrades(const AsGraph& g, AsId d,

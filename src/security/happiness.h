@@ -51,7 +51,7 @@ struct HappyCount {
 [[nodiscard]] HappyCount count_happy(const RoutingOutcome& out, AsId d, AsId m);
 
 /// Exact integer totals of happy-source counts over many pairs — the
-/// associative form batch runners accumulate per worker so merged results
+/// associative form batch sweeps accumulate per worker so merged results
 /// are bit-for-bit independent of the thread count. Because every pair has
 /// the same source count (|V| - 2), the ratio of totals equals the mean of
 /// per-pair fractions.

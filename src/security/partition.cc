@@ -69,7 +69,7 @@ PartitionClass PartitionContext::classify(AsId v) const {
   // (resp. m) is immune (resp. doomed). This is the paper's own
   // approximation: unlike the 1st/3rd classifications it is heuristic —
   // collateral benefits/damages at *other* ASes can, rarely, cross it
-  // (Section 6.1 is precisely about such flips; see DESIGN.md).
+  // (Section 6.1 is precisely about such flips).
   if (!base.has_route(v)) return PartitionClass::kDoomed;  // never happy
   const std::uint32_t own_rung =
       [&] {

@@ -83,7 +83,7 @@ struct PartitionShares {
     LocalPrefPolicy lp = LocalPrefPolicy::standard());
 
 /// Integer class counts over sources — the exact (associative) form of
-/// PartitionShares that batch runners accumulate per worker so merged
+/// PartitionShares that batch sweeps accumulate per worker so merged
 /// results are bit-for-bit independent of the thread count.
 struct PartitionCounts {
   std::size_t doomed = 0;

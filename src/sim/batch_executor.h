@@ -4,7 +4,7 @@
 // The paper's aggregate quantities are means over millions of independent
 // (attacker, destination) computations (Appendix H ran them under MPI on a
 // BlueGene). The seed implementation spawned and joined fresh std::threads
-// on every runner call and allocated five RoutingOutcome vectors per pair;
+// on every sweep call and allocated five RoutingOutcome vectors per pair;
 // BatchExecutor amortizes both: workers start once (lazily) and live for
 // the executor's lifetime, each owning a routing::EngineWorkspace whose
 // buffers persist across batches, and work is handed out in index chunks so
@@ -16,7 +16,7 @@
 // *which* worker computes a given index is racy by design. Callers that
 // need thread-count-independent results must make their accumulation
 // associative (integer partial sums per worker, or one result slot per
-// index); every sim runner does exactly that.
+// index); analyze_sweep and the campaign driver do exactly that.
 #ifndef SBGP_SIM_BATCH_EXECUTOR_H
 #define SBGP_SIM_BATCH_EXECUTOR_H
 
@@ -71,7 +71,8 @@ class BatchExecutor {
   BatchExecutor& operator=(const BatchExecutor&) = delete;
 
   /// Process-wide shared executor (lazily constructed, default_threads()
-  /// workers). This is what the sim runners use unless told otherwise.
+  /// workers). This is what analyze_sweep and run_campaign use unless
+  /// told otherwise.
   [[nodiscard]] static BatchExecutor& shared();
 
   [[nodiscard]] std::size_t num_workers() const noexcept {

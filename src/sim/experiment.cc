@@ -1,10 +1,10 @@
 #include "sim/experiment.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
 
-#include "sim/runner.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
@@ -24,6 +24,34 @@ std::string compose_label(const ExperimentSpec& spec,
 }
 
 }  // namespace
+
+std::vector<AsId> sample_ases(const std::vector<AsId>& pool,
+                              std::size_t max_count, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto n = static_cast<std::uint32_t>(pool.size());
+  const auto k =
+      static_cast<std::uint32_t>(std::min<std::size_t>(max_count, n));
+  std::vector<AsId> out;
+  out.reserve(k);
+  for (const auto idx : rng.sample_without_replacement(n, k)) {
+    out.push_back(pool[idx]);
+  }
+  return out;
+}
+
+std::vector<AsId> all_ases(const AsGraph& g) {
+  std::vector<AsId> out(g.num_ases());
+  for (AsId v = 0; v < g.num_ases(); ++v) out[v] = v;
+  return out;
+}
+
+std::vector<AsId> non_stub_ases(const AsGraph& g) {
+  std::vector<AsId> out;
+  for (AsId v = 0; v < g.num_ases(); ++v) {
+    if (!g.is_stub(v)) out.push_back(v);
+  }
+  return out;
+}
 
 std::uint64_t spec_fingerprint(const ExperimentSpec& spec) {
   util::Fingerprint fp;

@@ -27,6 +27,19 @@
 
 namespace sbgp::sim {
 
+/// Deterministically samples up to `max_count` ASes from `pool` (the whole
+/// pool, shuffled, if it is smaller).
+[[nodiscard]] std::vector<AsId> sample_ases(const std::vector<AsId>& pool,
+                                            std::size_t max_count,
+                                            std::uint64_t seed);
+
+/// All ASes [0, n).
+[[nodiscard]] std::vector<AsId> all_ases(const AsGraph& g);
+
+/// Non-stub ASes — the attacker set M' of Section 5.2 (stubs are assumed
+/// to be stopped by prefix filtering).
+[[nodiscard]] std::vector<AsId> non_stub_ases(const AsGraph& g);
+
 /// Selects the last step of a scenario's rollout.
 inline constexpr std::size_t kLastRolloutStep = static_cast<std::size_t>(-1);
 

@@ -26,27 +26,6 @@ constexpr AnalysisSet kNeedsAttackedEmpty =
 
 }  // namespace
 
-std::vector<AttackPair> make_attack_pairs(
-    const std::vector<AsId>& attackers,
-    const std::vector<AsId>& destinations) {
-  if (attackers.empty() || destinations.empty()) {
-    throw std::invalid_argument(
-        "make_attack_pairs: empty attacker/destination set");
-  }
-  std::vector<AttackPair> pairs;
-  pairs.reserve(attackers.size() * destinations.size());
-  for (const AsId m : attackers) {
-    for (std::size_t di = 0; di < destinations.size(); ++di) {
-      if (m != destinations[di]) pairs.push_back({m, destinations[di], di});
-    }
-  }
-  if (pairs.empty()) {
-    throw std::invalid_argument(
-        "make_attack_pairs: every attacker equals every destination");
-  }
-  return pairs;
-}
-
 SweepPlan make_sweep_plan(const std::vector<AsId>& attackers,
                           const std::vector<AsId>& destinations) {
   if (attackers.empty() || destinations.empty()) {

@@ -174,21 +174,6 @@ struct PairStats {
   [[nodiscard]] bool operator==(const PairStats&) const = default;
 };
 
-/// One (attacker, destination) instance of a pair sweep.
-struct AttackPair {
-  AsId attacker;
-  AsId destination;
-  std::size_t dest_index;  // index of the destination in the sampled set
-};
-
-/// Flattens attackers x destinations into the pair list, skipping
-/// attacker == destination instances (an AS cannot hijack its own prefix).
-/// Throws std::invalid_argument if either set is empty or no valid pair
-/// remains. Mostly superseded by make_sweep_plan for sweeps; still the
-/// right shape for callers that schedule pairs themselves.
-[[nodiscard]] std::vector<AttackPair> make_attack_pairs(
-    const std::vector<AsId>& attackers, const std::vector<AsId>& destinations);
-
 /// All attackers targeting one destination — the scheduling unit of
 /// analyze_sweep. Attackers never contain the destination itself.
 struct DestinationGroup {
@@ -303,8 +288,8 @@ inline void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
   accumulate_pair_into(g, d, m, cfg, dep, ws, 0, 1, acc);
 }
 
-/// Worker cap / executor choice for a batch call (shared by the runners,
-/// the fused pipeline and the experiment suite).
+/// Worker cap / executor choice for a batch call (shared by the fused
+/// pipeline, the experiment suite and the campaign driver).
 struct RunnerOptions {
   /// Worker cap for this call: 0 = every worker of the executor. (Results
   /// are bit-for-bit independent of this value — batch calls accumulate

@@ -2,7 +2,7 @@
 //
 // Substitute for the paper's empirical UCLA AS graph (24 Sep 2012; 39,056
 // ASes). The generator reproduces the structural properties the paper's
-// results depend on (see DESIGN.md §1):
+// results depend on:
 //   * a clique of provider-free Tier 1 ISPs with the largest customer cones;
 //   * Tier 2 / Tier 3 ISP layers buying transit from above and peering
 //     laterally;

@@ -9,7 +9,8 @@
 #include <vector>
 
 #include "routing/model.h"
-#include "sim/runner.h"
+#include "sim/experiment.h"
+#include "sim/pair_analysis.h"
 #include "test_support.h"
 #include "topology/generator.h"
 
@@ -202,7 +203,7 @@ TEST(BatchExecutor, WorkspacesPersistAcrossBatches) {
 }
 
 // ---------------------------------------------------------------------------
-// Runner determinism on the executor.
+// Sweep determinism on the executor.
 // ---------------------------------------------------------------------------
 
 class ExecutorRunnerTest : public ::testing::Test {
@@ -212,6 +213,25 @@ class ExecutorRunnerTest : public ::testing::Test {
     dep_ = random_deployment(topo_.graph.num_ases(), 0.35, rng);
     attackers_ = sample_ases(non_stub_ases(topo_.graph), 6, 21);
     destinations_ = sample_ases(all_ases(topo_.graph), 6, 22);
+  }
+
+  /// Totals of one fused sweep of the fixture's attackers on `dests`.
+  PairStats sweep(AnalysisSet analyses, SecurityModel model,
+                  const routing::Deployment& dep, const RunnerOptions& opts,
+                  const std::vector<routing::AsId>& dests) const {
+    PairAnalysisConfig cfg;
+    cfg.analyses = analyses;
+    cfg.model = model;
+    return analyze_sweep(topo_.graph, make_sweep_plan(attackers_, dests), cfg,
+                         dep, opts)
+        .total;
+  }
+
+  /// H_{M,D}(S) over the fixture's pairs and deployment.
+  security::MetricBounds metric(SecurityModel model,
+                                const RunnerOptions& opts) const {
+    return sweep(Analysis::kHappiness, model, dep_, opts, destinations_)
+        .happiness.bounds();
   }
 
   topology::GeneratedTopology topo_;
@@ -227,8 +247,7 @@ TEST_F(ExecutorRunnerTest, MetricIsThreadCountIndependent) {
     RunnerOptions opts;
     opts.executor = &exec;
     for (const auto model : routing::kAllSecurityModels) {
-      results.push_back(estimate_metric(topo_.graph, attackers_,
-                                        destinations_, model, dep_, opts));
+      results.push_back(metric(model, opts));
     }
   }
   // Bit-for-bit equality across thread counts, model by model.
@@ -247,11 +266,11 @@ TEST_F(ExecutorRunnerTest, PartitionsAreThreadCountIndependent) {
     BatchExecutor exec(threads);
     RunnerOptions opts;
     opts.executor = &exec;
-    results.push_back(average_partitions(topo_.graph, attackers_,
-                                         destinations_,
-                                         SecurityModel::kSecurityFirst,
-                                         routing::LocalPrefPolicy::standard(),
-                                         opts));
+    results.push_back(sweep(Analysis::kPartitions,
+                            SecurityModel::kSecurityFirst,
+                            routing::Deployment(topo_.graph.num_ases()), opts,
+                            destinations_)
+                          .partitions.shares());
   }
   for (std::size_t t = 1; t < results.size(); ++t) {
     EXPECT_EQ(results[0].doomed, results[t].doomed);
@@ -264,18 +283,15 @@ TEST_F(ExecutorRunnerTest, BackToBackRunnerCallsReuseWorkersAndAgree) {
   BatchExecutor exec(4);
   RunnerOptions opts;
   opts.executor = &exec;
-  const auto first =
-      estimate_metric(topo_.graph, attackers_, destinations_,
-                      SecurityModel::kSecurityThird, dep_, opts);
-  // Different runner in between dirties every workspace slot...
-  const auto downgrades =
-      total_downgrades(topo_.graph, attackers_, destinations_,
-                       SecurityModel::kSecurityThird, dep_, opts);
+  const auto first = metric(SecurityModel::kSecurityThird, opts);
+  // A different analysis in between dirties every workspace slot...
+  const auto downgrades = sweep(Analysis::kDowngrades,
+                                SecurityModel::kSecurityThird, dep_, opts,
+                                destinations_)
+                              .downgrades;
   EXPECT_GT(downgrades.sources, 0u);
   // ...and the repeated call must still reproduce the first result.
-  const auto second =
-      estimate_metric(topo_.graph, attackers_, destinations_,
-                      SecurityModel::kSecurityThird, dep_, opts);
+  const auto second = metric(SecurityModel::kSecurityThird, opts);
   EXPECT_EQ(first.lower, second.lower);
   EXPECT_EQ(first.upper, second.upper);
 }
@@ -288,17 +304,11 @@ TEST_F(ExecutorRunnerTest, ThrowingTaskPropagatesThroughRunner) {
   // an out-of-range destination instead.
   const std::vector<routing::AsId> bad_dests{
       static_cast<routing::AsId>(topo_.graph.num_ases() + 7)};
-  EXPECT_THROW(
-      {
-        const auto unused =
-            estimate_metric(topo_.graph, attackers_, bad_dests,
-                            SecurityModel::kSecurityThird, dep_, opts);
-        (void)unused;
-      },
-      std::invalid_argument);
+  EXPECT_THROW((void)sweep(Analysis::kHappiness, SecurityModel::kSecurityThird,
+                           dep_, opts, bad_dests),
+               std::invalid_argument);
   // The executor survives for the next (valid) call.
-  const auto ok = estimate_metric(topo_.graph, attackers_, destinations_,
-                                  SecurityModel::kSecurityThird, dep_, opts);
+  const auto ok = metric(SecurityModel::kSecurityThird, opts);
   EXPECT_LE(ok.lower, ok.upper);
 }
 
@@ -307,12 +317,8 @@ TEST_F(ExecutorRunnerTest, SharedExecutorMatchesPrivateExecutor) {
   BatchExecutor exec(3);
   RunnerOptions private_opts;
   private_opts.executor = &exec;
-  const auto a = estimate_metric(topo_.graph, attackers_, destinations_,
-                                 SecurityModel::kSecuritySecond, dep_,
-                                 shared_opts);
-  const auto b = estimate_metric(topo_.graph, attackers_, destinations_,
-                                 SecurityModel::kSecuritySecond, dep_,
-                                 private_opts);
+  const auto a = metric(SecurityModel::kSecuritySecond, shared_opts);
+  const auto b = metric(SecurityModel::kSecuritySecond, private_opts);
   EXPECT_EQ(a.lower, b.lower);
   EXPECT_EQ(a.upper, b.upper);
 }

@@ -1,20 +1,40 @@
-// Experiment suite and named-scenario registry tests, including the
-// thread-count determinism contract of run_experiment_suite.
+// Experiment suite, pair-sampling helpers and named-scenario registry
+// tests, including the thread-count determinism contract of
+// run_experiment_suite.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "deployment/scenario.h"
 #include "sim/batch_executor.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "topology/generator.h"
 
 namespace sbgp::sim {
 namespace {
 
 using routing::SecurityModel;
+
+TEST(Sampling, DeterministicAndBounded) {
+  std::vector<routing::AsId> pool(100);
+  std::iota(pool.begin(), pool.end(), 0u);
+  const auto a = sample_ases(pool, 10, 7);
+  const auto b = sample_ases(pool, 10, 7);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.size(), 10u);
+  const auto all = sample_ases(pool, 1000, 7);
+  EXPECT_EQ(all.size(), 100u);
+}
+
+TEST(Sampling, NonStubPool) {
+  const auto topo = topology::generate_small_internet(400, 3);
+  const auto pool = non_stub_ases(topo.graph);
+  EXPECT_FALSE(pool.empty());
+  for (const auto v : pool) EXPECT_FALSE(topo.graph.is_stub(v));
+  EXPECT_LT(pool.size(), topo.graph.num_ases() / 2);
+}
 
 class ExperimentTest : public ::testing::Test {
  protected:

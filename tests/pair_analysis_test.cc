@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "deployment/scenario.h"
@@ -20,7 +21,6 @@
 #include "sim/campaign.h"
 #include "sim/experiment.h"
 #include "sim/pair_analysis.h"
-#include "sim/runner.h"
 #include "test_support.h"
 #include "topology/generator.h"
 #include "topology/registry.h"
@@ -92,9 +92,7 @@ class PairAnalysisTest : public ::testing::Test {
   /// analyses over the same pair list.
   PairStats standalone(SecurityModel model, const Deployment& dep) const {
     PairStats s;
-    for (const auto& p : make_attack_pairs(attackers_, destinations_)) {
-      const AsId d = p.destination;
-      const AsId m = p.attacker;
+    for (const auto& [d, m] : pairs()) {
       ++s.pairs;
       const auto out = routing::compute_routing(topo_.graph, {d, m, model},
                                                 dep);
@@ -115,6 +113,16 @@ class PairAnalysisTest : public ::testing::Test {
           security::analyze_root_causes(topo_.graph, d, m, model, dep);
     }
     return s;
+  }
+
+  /// Every (destination, attacker) pair of the fixture's sweep plan.
+  std::vector<std::pair<AsId, AsId>> pairs() const {
+    const auto plan = make_sweep_plan(attackers_, destinations_);
+    std::vector<std::pair<AsId, AsId>> out;
+    for (const auto& grp : plan.groups) {
+      for (const AsId m : grp.attackers) out.emplace_back(grp.destination, m);
+    }
+    return out;
   }
 
   topology::GeneratedTopology topo_;
@@ -186,15 +194,15 @@ TEST_F(PairAnalysisTest, LpkPartitionsFuseWithStandardLadderDowngrades) {
   security::PartitionCounts parts;
   security::DowngradeStats downgrades;
   security::CollateralStats collateral;
-  for (const auto& p : make_attack_pairs(attackers_, destinations_)) {
+  for (const auto& [d, m] : pairs()) {
     routing::EngineWorkspace ws;
-    parts += security::PartitionContext(topo_.graph, p.destination,
-                                        p.attacker, cfg.model, lp, ws)
-                 .counts();
-    downgrades += security::analyze_downgrades(topo_.graph, p.destination,
-                                               p.attacker, cfg.model, dep);
-    collateral += security::analyze_collateral(topo_.graph, p.destination,
-                                               p.attacker, cfg.model, dep);
+    parts +=
+        security::PartitionContext(topo_.graph, d, m, cfg.model, lp, ws)
+            .counts();
+    downgrades +=
+        security::analyze_downgrades(topo_.graph, d, m, cfg.model, dep);
+    collateral +=
+        security::analyze_collateral(topo_.graph, d, m, cfg.model, dep);
   }
   expect_partitions_eq(fused.partitions, parts);
   expect_downgrades_eq(fused.downgrades, downgrades);
@@ -215,10 +223,10 @@ TEST_F(PairAnalysisTest, HysteresisMatchesStandaloneEngine) {
           .total;
 
   security::HappyTotals expected;
-  for (const auto& p : make_attack_pairs(attackers_, destinations_)) {
+  for (const auto& [d, m] : pairs()) {
     const auto out = routing::compute_routing_with_hysteresis(
-        topo_.graph, {p.destination, p.attacker, cfg.model}, dep);
-    const auto c = security::count_happy(out, p.destination, p.attacker);
+        topo_.graph, {d, m, cfg.model}, dep);
+    const auto c = security::count_happy(out, d, m);
     expected.happy_lower += c.happy_lower;
     expected.happy_upper += c.happy_upper;
     expected.sources += c.sources;
@@ -461,33 +469,21 @@ TEST(SweepPlanTest, MergedStatsIndependentOfGroupOrder) {
 
 // --- pair sampling edge cases ----------------------------------------------
 
-TEST(AttackPairs, SkipsAttackerEqualsDestination) {
-  const std::vector<AsId> attackers = {1, 2, 3};
-  const std::vector<AsId> destinations = {2, 3, 4};
-  const auto pairs = make_attack_pairs(attackers, destinations);
-  EXPECT_EQ(pairs.size(), 7u);  // 9 minus (2,2) and (3,3)
-  for (const auto& p : pairs) EXPECT_NE(p.attacker, p.destination);
-}
-
-TEST(AttackPairs, ThrowsWhenNoValidPairRemains) {
-  const std::vector<AsId> only = {5};
-  EXPECT_THROW((void)make_attack_pairs(only, only), std::invalid_argument);
-  EXPECT_THROW((void)make_attack_pairs({}, {1}), std::invalid_argument);
-  EXPECT_THROW((void)make_attack_pairs({1}, {}), std::invalid_argument);
-}
-
 TEST(AttackPairs, OverlappingSetsMatchManuallyFilteredRunners) {
-  // Regression: every runner must skip attacker == destination pairs
-  // rather than evaluating or crashing on them.
+  // Regression: a sweep must skip attacker == destination pairs rather
+  // than evaluating or crashing on them.
   const auto topo = topology::generate_small_internet(200, 3);
   util::Rng rng(7);
   const auto dep = test::random_deployment(topo.graph.num_ases(), 0.5, rng);
   const auto overlap = sample_ases(non_stub_ases(topo.graph), 5, 1);
   // Same set on both sides: 5x5 = 25 raw pairs, 20 valid.
-  EXPECT_EQ(make_attack_pairs(overlap, overlap).size(), 20u);
+  const auto plan = make_sweep_plan(overlap, overlap);
+  EXPECT_EQ(plan.num_pairs(), 20u);
+  PairAnalysisConfig cfg;
+  cfg.analyses = Analysis::kHappiness;
+  cfg.model = SecurityModel::kSecuritySecond;
   const auto metric =
-      estimate_metric(topo.graph, overlap, overlap,
-                      SecurityModel::kSecuritySecond, dep);
+      analyze_sweep(topo.graph, plan, cfg, dep).total.happiness.bounds();
   security::HappyTotals expected;
   for (const auto m : overlap) {
     for (const auto d : overlap) {

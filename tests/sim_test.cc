@@ -1,10 +1,11 @@
+// The fused sweep's aggregate statistics against a manual per-pair
+// average, the partition bound and the S = emptyset baseline.
 #include <gtest/gtest.h>
-
-#include <numeric>
 
 #include "routing/engine.h"
 #include "security/happiness.h"
-#include "sim/runner.h"
+#include "sim/experiment.h"
+#include "sim/pair_analysis.h"
 #include "test_support.h"
 #include "topology/generator.h"
 
@@ -13,25 +14,6 @@ namespace {
 
 using routing::SecurityModel;
 using test::random_deployment;
-
-TEST(Sampling, DeterministicAndBounded) {
-  std::vector<routing::AsId> pool(100);
-  std::iota(pool.begin(), pool.end(), 0u);
-  const auto a = sample_ases(pool, 10, 7);
-  const auto b = sample_ases(pool, 10, 7);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.size(), 10u);
-  const auto all = sample_ases(pool, 1000, 7);
-  EXPECT_EQ(all.size(), 100u);
-}
-
-TEST(Sampling, NonStubPool) {
-  const auto topo = topology::generate_small_internet(400, 3);
-  const auto pool = non_stub_ases(topo.graph);
-  EXPECT_FALSE(pool.empty());
-  for (const auto v : pool) EXPECT_FALSE(topo.graph.is_stub(v));
-  EXPECT_LT(pool.size(), topo.graph.num_ases() / 2);
-}
 
 class RunnerTest : public ::testing::Test {
  protected:
@@ -42,6 +24,26 @@ class RunnerTest : public ::testing::Test {
     destinations_ = sample_ases(all_ases(topo_.graph), 6, 2);
   }
 
+  /// Totals of one fused sweep over the fixture's pairs.
+  PairStats sweep(AnalysisSet analyses, SecurityModel model,
+                  const routing::Deployment& dep,
+                  const RunnerOptions& opts = {}) const {
+    PairAnalysisConfig cfg;
+    cfg.analyses = analyses;
+    cfg.model = model;
+    return analyze_sweep(topo_.graph,
+                         make_sweep_plan(attackers_, destinations_), cfg, dep,
+                         opts)
+        .total;
+  }
+
+  /// H_{M,D}(S) with tie-break bounds.
+  security::MetricBounds metric(SecurityModel model,
+                                const routing::Deployment& dep,
+                                const RunnerOptions& opts = {}) const {
+    return sweep(Analysis::kHappiness, model, dep, opts).happiness.bounds();
+  }
+
   topology::GeneratedTopology topo_;
   routing::Deployment dep_;
   std::vector<routing::AsId> attackers_;
@@ -49,9 +51,7 @@ class RunnerTest : public ::testing::Test {
 };
 
 TEST_F(RunnerTest, MetricMatchesManualAverage) {
-  const auto metric =
-      estimate_metric(topo_.graph, attackers_, destinations_,
-                      SecurityModel::kSecurityThird, dep_);
+  const auto h = metric(SecurityModel::kSecurityThird, dep_);
   // Manual sequential computation.
   double lo = 0.0;
   double hi = 0.0;
@@ -67,8 +67,8 @@ TEST_F(RunnerTest, MetricMatchesManualAverage) {
       ++pairs;
     }
   }
-  EXPECT_NEAR(metric.lower, lo / static_cast<double>(pairs), 1e-12);
-  EXPECT_NEAR(metric.upper, hi / static_cast<double>(pairs), 1e-12);
+  EXPECT_NEAR(h.lower, lo / static_cast<double>(pairs), 1e-12);
+  EXPECT_NEAR(h.upper, hi / static_cast<double>(pairs), 1e-12);
 }
 
 TEST_F(RunnerTest, ThreadCountDoesNotChangeResults) {
@@ -76,18 +76,20 @@ TEST_F(RunnerTest, ThreadCountDoesNotChangeResults) {
   one.threads = 1;
   RunnerOptions many;
   many.threads = 8;
-  const auto a = estimate_metric(topo_.graph, attackers_, destinations_,
-                                 SecurityModel::kSecuritySecond, dep_, one);
-  const auto b = estimate_metric(topo_.graph, attackers_, destinations_,
-                                 SecurityModel::kSecuritySecond, dep_, many);
+  const auto a = metric(SecurityModel::kSecuritySecond, dep_, one);
+  const auto b = metric(SecurityModel::kSecuritySecond, dep_, many);
   EXPECT_DOUBLE_EQ(a.lower, b.lower);
   EXPECT_DOUBLE_EQ(a.upper, b.upper);
 }
 
 TEST_F(RunnerTest, PerDestinationAveragesToOverall) {
+  PairAnalysisConfig cfg;
+  cfg.analyses = Analysis::kHappiness;
+  cfg.model = SecurityModel::kSecurityThird;
   const auto per_dest =
-      metric_per_destination(topo_.graph, attackers_, destinations_,
-                             SecurityModel::kSecurityThird, dep_);
+      analyze_sweep(topo_.graph, make_sweep_plan(attackers_, destinations_),
+                    cfg, dep_)
+          .per_destination;
   ASSERT_EQ(per_dest.size(), destinations_.size());
   // With disjoint attacker/destination samples every destination sees the
   // same number of attackers, so the mean of per-destination values equals
@@ -98,11 +100,9 @@ TEST_F(RunnerTest, PerDestinationAveragesToOverall) {
   }
   if (disjoint) {
     security::MetricBounds mean;
-    for (const auto& b : per_dest) mean += b;
+    for (const auto& s : per_dest) mean += s.happiness.bounds();
     mean /= static_cast<double>(per_dest.size());
-    const auto overall =
-        estimate_metric(topo_.graph, attackers_, destinations_,
-                        SecurityModel::kSecurityThird, dep_);
+    const auto overall = metric(SecurityModel::kSecurityThird, dep_);
     EXPECT_NEAR(mean.lower, overall.lower, 1e-12);
     EXPECT_NEAR(mean.upper, overall.upper, 1e-12);
   }
@@ -110,8 +110,7 @@ TEST_F(RunnerTest, PerDestinationAveragesToOverall) {
 
 TEST_F(RunnerTest, BoundsAreOrdered) {
   for (const auto model : routing::kAllSecurityModels) {
-    const auto m = estimate_metric(topo_.graph, attackers_, destinations_,
-                                   model, dep_);
+    const auto m = metric(model, dep_);
     EXPECT_LE(m.lower, m.upper);
     EXPECT_GE(m.lower, 0.0);
     EXPECT_LE(m.upper, 1.0);
@@ -120,47 +119,42 @@ TEST_F(RunnerTest, BoundsAreOrdered) {
 
 TEST_F(RunnerTest, PartitionsBoundTheMetricForAnyDeployment) {
   // immune <= H_lower and H_upper <= 1 - doomed (Section 4.3).
+  // Partitions are deployment-invariant: computed on S = emptyset.
   const auto shares =
-      average_partitions(topo_.graph, attackers_, destinations_,
-                         SecurityModel::kSecurityThird);
-  const auto metric =
-      estimate_metric(topo_.graph, attackers_, destinations_,
-                      SecurityModel::kSecurityThird, dep_);
-  EXPECT_LE(shares.immune, metric.lower + 1e-9);
-  EXPECT_LE(metric.upper, 1.0 - shares.doomed + 1e-9);
+      sweep(Analysis::kPartitions, SecurityModel::kSecurityThird,
+            routing::Deployment(topo_.graph.num_ases()))
+          .partitions.shares();
+  const auto h = metric(SecurityModel::kSecurityThird, dep_);
+  EXPECT_LE(shares.immune, h.lower + 1e-9);
+  EXPECT_LE(h.upper, 1.0 - shares.doomed + 1e-9);
 }
 
 TEST_F(RunnerTest, BaselineIndependentOfModelDeployment) {
   // S = empty: all models coincide (the SecP step never fires).
   routing::Deployment empty(topo_.graph.num_ases());
-  const auto base = estimate_metric(topo_.graph, attackers_, destinations_,
-                                    SecurityModel::kInsecure, empty);
+  const auto base = metric(SecurityModel::kInsecure, empty);
   for (const auto model : routing::kAllSecurityModels) {
-    const auto m = estimate_metric(topo_.graph, attackers_, destinations_,
-                                   model, empty);
+    const auto m = metric(model, empty);
     EXPECT_DOUBLE_EQ(m.lower, base.lower) << to_string(model);
     EXPECT_DOUBLE_EQ(m.upper, base.upper);
   }
 }
 
 TEST_F(RunnerTest, DowngradeAndRootCauseTotalsAgree) {
-  const auto dg = total_downgrades(topo_.graph, attackers_, destinations_,
-                                   SecurityModel::kSecurityThird, dep_);
-  const auto rc = total_root_causes(topo_.graph, attackers_, destinations_,
-                                    SecurityModel::kSecurityThird, dep_);
+  const auto dg =
+      sweep(Analysis::kDowngrades, SecurityModel::kSecurityThird, dep_)
+          .downgrades;
+  const auto rc =
+      sweep(Analysis::kRootCause, SecurityModel::kSecurityThird, dep_)
+          .root_causes;
   EXPECT_EQ(dg.sources, rc.sources);
   EXPECT_EQ(dg.secure_normal, rc.secure_normal);
   EXPECT_EQ(dg.downgraded, rc.downgraded);
 }
 
 TEST_F(RunnerTest, EmptySetsRejected) {
-  EXPECT_THROW(
-      {
-        const auto unused = estimate_metric(topo_.graph, {}, destinations_,
-                                            SecurityModel::kInsecure, dep_);
-        (void)unused;
-      },
-      std::invalid_argument);
+  EXPECT_THROW((void)make_sweep_plan({}, destinations_),
+               std::invalid_argument);
 }
 
 }  // namespace
