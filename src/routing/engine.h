@@ -264,9 +264,10 @@ void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
 // node, which can displace secure routes); callers must fall back to the
 // full engine there.
 
-/// True if compute_routing_seeded_into — and a LanePass — may serve this
-/// attacked query: q.under_attack() and no secure stage runs (kInsecure /
-/// kSecurityThird, or an unsigned origin), per the staging argument above.
+/// True if compute_routing_seeded_into may serve this attacked query:
+/// q.under_attack() and no secure stage runs (kInsecure / kSecurityThird,
+/// or an unsigned origin), per the staging argument above. (A LanePass
+/// serves every attacked query; it runs the secure stages itself.)
 [[nodiscard]] bool routing_seed_applicable(const Query& q,
                                            const Deployment& deployment);
 

@@ -1,22 +1,23 @@
-// Lane-parallel routing: the stable states of up to 32 attackers of one
-// destination in a single level-synchronous sweep.
+// Lane-parallel routing: the stable states and partitions of up to 32
+// attackers of one destination in a handful of level-synchronous sweeps.
 //
-// A destination-grouped sweep evaluates many attackers against the same d,
-// and every attacked stable state it needs under S = emptyset — and, where
-// no secure stage runs, under S — follows the same three-stage skeleton
-// FCR -> FPeeR -> FPrvR (routing/engine.h). Those stages are breadth-first
-// searches by path length, so they can share one traversal among many
-// sources the way multi-source BFS does (Then et al., "The More the Merrier:
-// Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014): every AS keeps
-// one 32-bit mask per attribute, bit k belonging to attacker k (lane k).
+// A destination-grouped sweep evaluates many attackers against the same d.
+// Every stable state it needs is built from breadth-first searches by path
+// length — the stages of routing/engine.h — so the searches can share one
+// traversal among many sources the way multi-source BFS does (Then et al.,
+// "The More the Merrier: Efficient Multi-Source Graph Traversal", PVLDB
+// 8(4), 2014): every AS keeps one 32-bit mask per attribute, bit k
+// belonging to attacker k (lane k).
 //
 //  * Levels. Entries (AS, lanes) are kept per path length, split into
 //    exporting entries (origins and customer routes, which Ex lets travel up
 //    and sideways) and other entries (peer and provider routes).
-//  * Stages. The customer stage runs upward level by level from the
-//    exporting entries; the peer stage takes one hop sideways from the
-//    exporting entries, shortest level first; the provider stage runs
-//    downward from every entry, level by level.
+//  * Stages. A customer stage runs upward level by level from the
+//    exporting entries; a peer stage takes one hop sideways from the
+//    exporting entries, shortest level first; a provider stage runs
+//    downward from every entry, level by level. A secure stage (FSCR,
+//    FSPeeR, FSPrvR) admits only validating receivers and the secure lanes
+//    of its sources.
 //  * Per-level rule. A lane fixes at the first level that offers it a
 //    candidate. Its reach flags are the OR over that level's candidates.
 //    Under S, a validating AS with a secure candidate keeps only the secure
@@ -24,11 +25,20 @@
 //
 // Security 3rd ranks routes by class and length exactly as S = emptyset
 // does, and an unsigned origin disables the secure stages of the other two
-// models, so one skeleton serves both flag sets: the pass applies exactly
-// where routing_seed_applicable holds. It computes no next hops and no
-// route types or lengths — only the per-AS flag bytes the per-pair analyses
-// read (flags_into), which equal RoutingOutcome::flags_into of
+// models, so there one shared sweep FCR -> FPeeR -> FPrvR yields both flag
+// sets. Security 1st/2nd with a signed origin run the secure stages in the
+// engine's order, so the S state gets a sweep of its own before the shared
+// sweep computes S = emptyset. The pass computes no next hops and no route
+// lengths — only the per-AS flag bytes the per-pair analyses read
+// (flags_into), which equal RoutingOutcome::flags_into of
 // compute_routing_into for the same query, on every lane and AS.
+//
+// partition() then classifies every lane's sources as doomed, protectable
+// or immune (security/partition.h) from the S = emptyset sweep: security
+// 3rd reads its reach flags, security 2nd also the route class each lane
+// fixed with, and security 1st runs two multi-source perceivable-
+// reachability closures. partition_into equals PartitionContext::classify
+// under the standard LP ladder, on every lane and AS.
 #ifndef SBGP_ROUTING_LANES_H
 #define SBGP_ROUTING_LANES_H
 
@@ -59,9 +69,8 @@ class LanePass {
   /// Computes every lane's stable state for attacker `attackers[k]` on
   /// destination `d`, under (`model`, `deployment`) and under S = emptyset.
   /// Throws std::invalid_argument on a bad destination, on 0 or more than
-  /// kLaneWidth attackers, on an attacker that is out of range or equal to
-  /// d, and for security 1st/2nd with a signed origin (whose secure stages
-  /// the skeleton does not reproduce; use compute_routing_into there).
+  /// kLaneWidth attackers, and on an attacker that is out of range or equal
+  /// to d. `g` must outlive the pass's later partition() call.
   void run(const topology::AsGraph& g, AsId d,
            std::span<const AsId> attackers, SecurityModel model,
            const Deployment& deployment);
@@ -75,11 +84,25 @@ class LanePass {
   void flags_into(std::size_t lane, View view,
                   std::vector<std::uint8_t>& out) const;
 
+  /// Classifies every AS of every lane of the last run() under `model`
+  /// with the standard LP ladder (any ladder for security 1st, which reads
+  /// none): lane k holds the classes of the pair (attackers[k], d). Throws
+  /// std::invalid_argument for SecurityModel::kInsecure and std::logic_error
+  /// before the first run().
+  void partition(SecurityModel model);
+
+  /// Writes lane `lane`'s PartitionClass bytes from the last partition()
+  /// into `out`, resized to the graph's AS count. Throws std::out_of_range
+  /// if `lane` >= num_lanes() and std::logic_error if partition() has not
+  /// run since the last run().
+  void partition_into(std::size_t lane, std::vector<std::uint8_t>& out) const;
+
  private:
   using Mask = std::uint32_t;
 
   /// Per-AS lane masks. A lane is routed iff it reaches d or m, so no
-  /// separate "routed" mask is kept.
+  /// separate "routed" mask is kept. In the S sweep of secure stages
+  /// (secure_st_) the two flag sets are equal and both mean "under S".
   struct State {
     Mask reach_d = 0;    // S = emptyset: some best route reaches d
     Mask reach_m = 0;    // S = emptyset: some best route reaches m
@@ -94,6 +117,16 @@ class LanePass {
   };
   using Levels = std::vector<std::vector<Entry>>;
 
+  /// Resets st_ and the level lists and installs the roots of d_ and
+  /// attackers_; `origin_secure` lets d's lanes seed secure routes.
+  void start(bool origin_secure);
+  /// One stage over every level: customer routes climb from the exporting
+  /// entries, peer routes take one hop sideways off them, provider routes
+  /// descend from every entry. A kSecure stage (FSCR, FSPeeR, FSPrvR)
+  /// offers only a source's secure lanes, to validating receivers.
+  enum class Stage : std::uint8_t { kCustomer, kPeer, kProvider };
+  template <Stage kStage, bool kSecure>
+  void stage(const topology::AsGraph& g);
   /// Offers `src` (an entry's masks, restricted to its lanes) to `p` as a
   /// candidate one hop longer.
   void offer(AsId p, const State& src);
@@ -103,15 +136,48 @@ class LanePass {
   /// Makes `level` addressable in both lists.
   void add_level(std::size_t level);
   [[nodiscard]] State masked(const Entry& e) const;
+  /// Every lane of the pass.
+  [[nodiscard]] Mask all_lanes() const noexcept {
+    return lanes_ == kLaneWidth ? ~Mask{0} : (Mask{1} << lanes_) - 1;
+  }
 
-  std::vector<State> st_;
+  /// Lanes of every AS that perceivably reach `roots` (Definition B.1),
+  /// written to `reach` (root lanes included): customer routes climb
+  /// customer->provider edges, peer routes take one hop off a root or a
+  /// customer route, provider routes descend from everything reached. No
+  /// AS is entered in a lane in which origin_ holds it, which excludes the
+  /// roots and the other closure's roots.
+  void perceivable_into(const topology::AsGraph& g,
+                        std::span<const Entry> roots, std::vector<Mask>& reach);
+  /// Security 2nd: PartitionContext::classify's neighbour rule on the
+  /// S = emptyset sweep, for every lane at once.
+  void classify_second(const topology::AsGraph& g);
+
+  std::vector<State> st_;         // the shared sweep: S = emptyset (and S)
+  std::vector<State> secure_st_;  // the S sweep when secure stages ran
+  bool staged_ = false;           // secure_st_ holds the S view
   Levels exporting_;  // origins and customer routes, per path length
   Levels other_;      // peer and provider routes, per path length
   std::size_t levels_ = 0;  // levels in use this pass
+  // Per level: the shared sweep's first peer_end_[level] entries of
+  // other_[level] are peer routes, the rest provider routes.
+  std::vector<std::size_t> peer_end_;
   std::vector<AsId> touched_;  // ASes offered a candidate at this level
   const Deployment* validating_ = nullptr;  // non-null iff secure routes exist
+  const topology::AsGraph* g_ = nullptr;    // graph of the last run()
   AsId d_ = kNoAs;
+  std::vector<AsId> attackers_;  // attacker of each lane
   std::size_t lanes_ = 0;
+
+  // Partition masks per AS (lanes immune / doomed; the rest protectable)
+  // and their scratch.
+  std::vector<Mask> immune_;
+  std::vector<Mask> doomed_;
+  std::vector<Mask> origin_;   // lanes in which the AS is d or m_k
+  std::vector<Mask> pending_;  // closure: lanes not yet propagated
+  std::vector<Mask> scratch_;  // closure peer hop; security 2nd classes
+  std::vector<AsId> queue_;    // closure work list
+  bool partitioned_ = false;   // partition() ran since the last run()
 };
 
 }  // namespace sbgp::routing

@@ -158,6 +158,16 @@ enum class HappyStatus : std::uint8_t {
   kDisconnected = 3,  // no route at all
 };
 
+/// Deployment-invariant class of a source for one attack (Sections
+/// 4.3-4.4, Appendix E; security/partition.h). Per-AS classes travel as
+/// one byte each (LanePass::partition_into,
+/// security::PartitionContext::classes_into).
+enum class PartitionClass : std::uint8_t {
+  kDoomed = 0,       // routes to m for every deployment S
+  kProtectable = 1,  // the outcome depends on S
+  kImmune = 2,       // routes to d for every deployment S
+};
+
 }  // namespace sbgp::routing
 
 #endif  // SBGP_ROUTING_MODEL_H

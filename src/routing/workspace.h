@@ -53,16 +53,19 @@ struct DestBaselineSlot {
 ///     recomputing overload (pre-attack state); a caller holding its own
 ///     pre-attack outcome uses the precomputed-`normal` overload, which
 ///     leaves the slot alone.
-///   - `baseline` is owned by the partition analysis
-///     (security::PartitionContext computes the S = emptyset attacked
-///     state there for the 2nd/3rd models).
+///   - `baseline` is owned by security::PartitionContext (the S = emptyset
+///     attacked state of the 2nd/3rd models). The fused pipeline builds one
+///     only for LP-k partitions under security 2nd/3rd; its other classes
+///     come from `lanes`.
 ///   - `dest_baseline` is owned by the destination-grouped sweep
 ///     (sim::accumulate_group_into with a non-zero sweep context); no
 ///     engine entry point touches it implicitly.
-///   - `lanes` holds the lane pass of sim::accumulate_group_into's group;
-///     only that function runs it.
+///   - `lanes` holds the lane pass of sim::accumulate_group_into's group —
+///     every attacked state and the partition classes; only that function
+///     runs it.
 ///   - The flag views (`attacked_flags`, `normal_flags`, `empty_flags`,
-///     `signer_flags`) hold the per-AS bytes of the pair being counted;
+///     `signer_flags`) and class views (`partition_classes`,
+///     `ladder_classes`) hold the per-AS bytes of the pair being counted;
 ///     the pipeline and the security analyze_* functions write them right
 ///     before counting.
 ///   - A `result` argument passed to any *_into entry point must not alias
@@ -98,6 +101,10 @@ class EngineWorkspace {
   std::vector<std::uint8_t> normal_flags;    // no attack, under S
   std::vector<std::uint8_t> empty_flags;     // attacked, S = emptyset
   std::vector<std::uint8_t> signer_flags;    // Deployment::signers_into
+  // PartitionClass bytes under the standard LP ladder, and under an LP-k
+  // ladder where the partition analysis uses one (security 2nd/3rd).
+  std::vector<std::uint8_t> partition_classes;
+  std::vector<std::uint8_t> ladder_classes;
 
   // --- Staged-BFS engine scratch ---------------------------------------
   std::vector<std::uint8_t> fixed;  // per-AS "route fixed" flags
@@ -115,7 +122,9 @@ class EngineWorkspace {
   std::vector<std::uint8_t> seen_bits; // per-phase marks within an epoch
   std::uint64_t seen_epoch = 0;        // bumped once per seeded call
 
-  // --- Perceivable-reachability scratch (partition analysis) ------------
+  // --- Perceivable-reachability scratch (security::PartitionContext) ----
+  // Security 1st's exclusion distances; the fused pipeline's lane classes
+  // never touch them.
   PerceivableDistances reach_d;  // distances toward the destination
   PerceivableDistances reach_m;  // distances toward the attacker
 };

@@ -20,8 +20,8 @@ DowngradeStats analyze_downgrades(const AsGraph& g, AsId d, AsId m,
   routing::compute_routing_into(g, Query{d, routing::kNoAs, model}, dep, ws,
                                 ws.normal);
   routing::compute_routing_into(g, Query{d, m, model}, dep, ws, ws.primary);
-  const PartitionContext partition(g, d, m, model,
-                                   routing::LocalPrefPolicy::standard(), ws);
+  PartitionContext(g, d, m, model, routing::LocalPrefPolicy::standard(), ws)
+      .classes_into(ws.partition_classes);
 
   ws.normal.flags_into(ws.normal_flags);
   ws.primary.flags_into(ws.attacked_flags);
@@ -30,7 +30,7 @@ DowngradeStats analyze_downgrades(const AsGraph& g, AsId d, AsId m,
   po.m = m;
   po.normal = ws.normal_flags;
   po.attacked = ws.attacked_flags;
-  po.partition = &partition;
+  po.partition = ws.partition_classes;
   DowngradeStats s;
   accumulate_into(po, s);
   return s;
@@ -39,8 +39,9 @@ DowngradeStats analyze_downgrades(const AsGraph& g, AsId d, AsId m,
 void accumulate_into(const PairOutcomes& po, DowngradeStats& acc) {
   const std::span<const std::uint8_t> normal = po.normal;
   const std::span<const std::uint8_t> attacked = po.attacked;
-  assert(normal.size() == attacked.size() && po.partition != nullptr);
-  const PartitionContext& partition = *po.partition;
+  const std::span<const std::uint8_t> cls = po.partition;
+  assert(normal.size() == attacked.size() && cls.size() == attacked.size());
+  constexpr auto kImmune = static_cast<std::uint8_t>(PartitionClass::kImmune);
   DowngradeStats s;
   for_each_source(attacked.size(), po.d, po.m, [&](std::size_t v) {
     const std::size_t before = secure_flag(normal[v]);
@@ -49,12 +50,7 @@ void accumulate_into(const PairOutcomes& po, DowngradeStats& acc) {
     s.secure_normal += before;
     s.downgraded += before & (during ^ 1u);
     s.secure_kept += during;
-    // Classifying costs a neighbour scan in security 2nd, so only the
-    // ASes that kept a secure route pay for it.
-    if (during != 0) {
-      s.kept_and_immune += partition.classify(static_cast<AsId>(v)) ==
-                           PartitionClass::kImmune;
-    }
+    s.kept_and_immune += during & static_cast<std::size_t>(cls[v] == kImmune);
   });
   acc += s;
 }

@@ -64,7 +64,8 @@ struct DowngradeStats {
 
 /// Workspace variant for batch sweeps: the three underlying computations
 /// reuse ws buffers (normal state in ws.normal, attacked state in
-/// ws.primary, partition state in ws.baseline / reach scratch).
+/// ws.primary, partition state in ws.baseline / reach scratch, class bytes
+/// in ws.partition_classes).
 [[nodiscard]] DowngradeStats analyze_downgrades(const AsGraph& g, AsId d,
                                                 AsId m,
                                                 routing::SecurityModel model,
@@ -72,8 +73,8 @@ struct DowngradeStats {
                                                 routing::EngineWorkspace& ws);
 
 /// Fused-pipeline entry point: buckets every source using po.normal,
-/// po.attacked and po.partition (built with the standard LP ladder) and
-/// adds the counts to `acc`.
+/// po.attacked and po.partition (class bytes under the standard LP ladder,
+/// from the lane pass or a PartitionContext) and adds the counts to `acc`.
 void accumulate_into(const PairOutcomes& po, DowngradeStats& acc);
 
 }  // namespace sbgp::security

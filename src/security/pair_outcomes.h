@@ -11,7 +11,8 @@
 // however many analyses are selected. A view comes from
 // RoutingOutcome::flags_into for a scalar outcome or from
 // LanePass::flags_into for one lane of a lane pass; the analyses cannot
-// tell them apart.
+// tell them apart. The partition slot holds routing::PartitionClass bytes
+// instead, from LanePass::partition_into or PartitionContext::classes_into.
 //
 // Which slots an analysis reads:
 //   happiness    attacked
@@ -36,8 +37,6 @@
 #include "topology/types.h"
 
 namespace sbgp::security {
-
-class PartitionContext;
 
 /// 1 iff every best route of the AS leads to d (HappyStatus::kHappy).
 [[nodiscard]] constexpr std::size_t happy_flag(std::uint8_t f) noexcept {
@@ -88,10 +87,11 @@ struct PairOutcomes {
   std::span<const std::uint8_t> normal;
   /// Stable state under attack with S = emptyset ({d, m, kInsecure}).
   std::span<const std::uint8_t> attacked_empty;
-  /// Deployment-invariant partition classification for (d, m). The fused
-  /// pipeline builds this with the standard LP ladder whenever the
-  /// downgrade analysis is selected (matching analyze_downgrades).
-  const PartitionContext* partition = nullptr;
+  /// Deployment-invariant partition class of every AS for (d, m), one
+  /// routing::PartitionClass byte each. The downgrade analysis reads the
+  /// standard LP ladder's classes (matching analyze_downgrades); the
+  /// partition analysis reads the spec's ladder.
+  std::span<const std::uint8_t> partition;
 };
 
 }  // namespace sbgp::security

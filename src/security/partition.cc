@@ -13,10 +13,10 @@ PartitionContext::PartitionContext(const AsGraph& g, AsId d, AsId m,
     : g_(g), d_(d), m_(m), model_(model), lp_(lp) {
   if (model == SecurityModel::kInsecure) {
     throw std::invalid_argument(
-        "classify_sources: partitions are defined for S*BGP models only");
+        "PartitionContext: partitions are defined for S*BGP models only");
   }
   if (d >= g.num_ases() || m >= g.num_ases() || d == m) {
-    throw std::invalid_argument("classify_sources: bad (d, m) pair");
+    throw std::invalid_argument("PartitionContext: bad (d, m) pair");
   }
   if (model == SecurityModel::kSecurityFirst) {
     // Exact tests (Observations E.3/E.4): doomed iff d is perceivably
@@ -128,6 +128,13 @@ PartitionCounts PartitionContext::counts() const {
   return c;
 }
 
+void PartitionContext::classes_into(std::vector<std::uint8_t>& out) const {
+  out.resize(g_.num_ases());
+  for (AsId v = 0; v < g_.num_ases(); ++v) {
+    out[v] = static_cast<std::uint8_t>(classify(v));
+  }
+}
+
 std::vector<PartitionClass> classify_sources(const AsGraph& g, AsId d, AsId m,
                                              SecurityModel model,
                                              LocalPrefPolicy lp) {
@@ -162,7 +169,17 @@ PartitionShares partition_shares(const AsGraph& g, AsId d, AsId m,
 }
 
 void accumulate_into(const PairOutcomes& po, PartitionCounts& acc) {
-  acc += po.partition->counts();
+  const std::span<const std::uint8_t> cls = po.partition;
+  constexpr auto kDoomed = static_cast<std::uint8_t>(PartitionClass::kDoomed);
+  constexpr auto kImmune = static_cast<std::uint8_t>(PartitionClass::kImmune);
+  PartitionCounts c;
+  for_each_source(cls.size(), po.d, po.m, [&](std::size_t v) {
+    ++c.sources;
+    c.doomed += cls[v] == kDoomed;
+    c.immune += cls[v] == kImmune;
+  });
+  c.protectable = c.sources - c.doomed - c.immune;
+  acc += c;
 }
 
 }  // namespace sbgp::security

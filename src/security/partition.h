@@ -33,15 +33,10 @@
 namespace sbgp::security {
 
 using routing::LocalPrefPolicy;
+using routing::PartitionClass;
 using routing::SecurityModel;
 using topology::AsGraph;
 using topology::AsId;
-
-enum class PartitionClass : std::uint8_t {
-  kDoomed = 0,
-  kProtectable = 1,
-  kImmune = 2,
-};
 
 /// Fractions over sources; always sum to 1 (over |V| - 2 sources).
 struct PartitionShares {
@@ -124,6 +119,11 @@ struct PartitionCounts {
 /// Construction runs the model's invariant computation once (baseline
 /// stable state for security 2nd/3rd; two exclusion reachability passes for
 /// security 1st); individual sources are then classified in O(deg(v)).
+///
+/// The fused pipeline takes its classes from the lane pass
+/// (routing::LanePass::partition) and builds a PartitionContext per pair
+/// only for an LP-k ladder under security 2nd/3rd; elsewhere this class is
+/// the scalar reference the lane classes are tested against.
 class PartitionContext {
  public:
   /// Throws std::invalid_argument on a bad (d, m) pair or the kInsecure
@@ -132,6 +132,10 @@ class PartitionContext {
                    LocalPrefPolicy lp, routing::EngineWorkspace& ws);
 
   [[nodiscard]] PartitionClass classify(AsId v) const;
+
+  /// Writes classify(v) of every AS v as one byte into `out`, resized to
+  /// the graph's AS count — the PairOutcomes::partition view.
+  void classes_into(std::vector<std::uint8_t>& out) const;
 
   /// Classifies every source and aggregates the integer counts.
   [[nodiscard]] PartitionCounts counts() const;
@@ -149,8 +153,8 @@ class PartitionContext {
   const routing::PerceivableDistances* to_m_avoiding_d_ = nullptr;
 };
 
-/// Fused-pipeline entry point: classifies every source via po.partition and
-/// adds the integer class counts to `acc`.
+/// Fused-pipeline entry point: counts the class bytes of po.partition over
+/// every source and adds them to `acc`.
 void accumulate_into(const PairOutcomes& po, PartitionCounts& acc);
 
 }  // namespace sbgp::security

@@ -196,6 +196,10 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
       throw std::invalid_argument("run_campaign: spec '" + spec.label +
                                   "' selects no analyses");
     }
+    if (!partitions_defined(spec.model, spec.analyses)) {
+      throw std::invalid_argument("run_campaign: spec '" + spec.label +
+                                  "': partitions/downgrades need S*BGP");
+    }
     validate_traffic_model(spec.traffic);
     if (deployment::find_scenario(spec.scenario) == nullptr) {
       throw std::invalid_argument(

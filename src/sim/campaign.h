@@ -281,7 +281,8 @@ using RowSink = std::function<void(const CampaignTrialRow&)>;
 /// rethrown, as every failure during spec validation always is). Throws
 /// std::invalid_argument — naming the registered topologies / scenarios —
 /// on unknown names, and on empty trial or experiment lists, explicit
-/// attacker/destination AS lists, empty analysis sets, bad shard,
+/// attacker/destination AS lists, empty analysis sets, partitions or
+/// downgrades under the insecure model, bad shard,
 /// merge-only or adaptive configurations, or (from trial preparation,
 /// strict mode) out-of-range rollout steps.
 [[nodiscard]] CampaignResult run_campaign(const CampaignSpec& campaign,

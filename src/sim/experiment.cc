@@ -90,6 +90,10 @@ ResolvedExperiment ExperimentResolver::resolve(const ExperimentSpec& spec) {
     throw std::invalid_argument("ExperimentResolver: spec '" + spec.label +
                                 "' selects no analyses");
   }
+  if (!partitions_defined(spec.model, spec.analyses)) {
+    throw std::invalid_argument("ExperimentResolver: spec '" + spec.label +
+                                "': partitions/downgrades need S*BGP");
+  }
   // Rollout construction touches every stub of every secured ISP; cache per
   // (scenario, stub mode) so sweeping models/analyses stays cheap.
   auto key = std::make_pair(spec.scenario, spec.stub_mode);

@@ -151,7 +151,8 @@ class ExperimentResolver {
 /// (scenario, stub mode) and reused across specs; rows come back in spec
 /// order and are bit-for-bit independent of the thread count. Throws
 /// std::invalid_argument on unknown scenario names, out-of-range rollout
-/// steps, or empty analysis sets.
+/// steps, empty analysis sets, or partitions/downgrades under the insecure
+/// model.
 [[nodiscard]] std::vector<ExperimentRow> run_experiment_suite(
     const AsGraph& g, const topology::TierInfo& tiers,
     const std::vector<ExperimentSpec>& specs, const RunnerOptions& opts = {});

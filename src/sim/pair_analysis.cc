@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -96,6 +95,11 @@ void accumulate_group_into(const AsGraph& g, AsId d,
           "accumulate_group_into: attacker == destination");
     }
   }
+  if (!partitions_defined(cfg.model, cfg.analyses)) {
+    throw std::invalid_argument(
+        "accumulate_group_into: partitions and downgrades are defined for "
+        "S*BGP models only");
+  }
   if (attackers.empty()) return;
 
   const bool wants_attacked = cfg.analyses.intersects(kNeedsAttacked);
@@ -103,7 +107,15 @@ void accumulate_group_into(const AsGraph& g, AsId d,
   const bool wants_empty = cfg.analyses.intersects(kNeedsAttackedEmpty);
   const bool wants_partitions = cfg.analyses.contains(Analysis::kPartitions);
   const bool wants_downgrades = cfg.analyses.contains(Analysis::kDowngrades);
-  const bool lp_standard = cfg.lp.kind == LocalPrefPolicy::Kind::kStandard;
+  // Partition classes come from the lane pass under the standard ladder
+  // (which security 1st never reads). Only an LP-k ladder under security
+  // 2nd/3rd builds a PartitionContext per pair; downgrades always read the
+  // standard classes (matching analyze_downgrades).
+  const bool ladder_partitions =
+      wants_partitions && cfg.lp.kind != LocalPrefPolicy::Kind::kStandard &&
+      cfg.model != SecurityModel::kSecurityFirst;
+  const bool lane_classes =
+      wants_downgrades || (wants_partitions && !ladder_partitions);
 
   // The normal outcome, from the per-destination cache when a sweep
   // context is given. A hit requires the exact (token, d) pair; the token
@@ -132,15 +144,14 @@ void accumulate_group_into(const AsGraph& g, AsId d,
   // state, also read which ASes sign.
   if (wants_empty) dep.signers_into(g.num_ases(), ws.signer_flags);
 
-  // One lane pass serves every attacked state the skeleton admits: under S
-  // where no secure stage runs (and hysteresis is off), and always under
-  // S = emptyset. A pass run only for the latter uses the insecure model.
-  const bool attacked_in_lanes =
-      wants_attacked && !cfg.hysteresis &&
-      routing::routing_seed_applicable({d, attackers[0], cfg.model}, dep);
-  if (attacked_in_lanes || wants_empty) {
+  // One lane pass serves every attacked state but hysteresis — under S and
+  // under S = emptyset — and the partition classes. A pass run only for
+  // the S = emptyset state uses the insecure model.
+  const bool attacked_in_lanes = wants_attacked && !cfg.hysteresis;
+  if (attacked_in_lanes || wants_empty || lane_classes) {
     ws.lanes.run(g, d, attackers,
                  attacked_in_lanes ? cfg.model : SecurityModel::kInsecure, dep);
+    if (lane_classes) ws.lanes.partition(cfg.model);
   }
 
   for (std::size_t k = 0; k < attackers.size(); ++k) {
@@ -158,14 +169,9 @@ void accumulate_group_into(const AsGraph& g, AsId d,
         ws.lanes.flags_into(k, routing::LanePass::View::kDeployment,
                             ws.attacked_flags);
       } else {
-        const routing::Query q{d, m, cfg.model};
-        if (cfg.hysteresis) {
-          // Hysteresis pins routes of the pre-attack state.
-          routing::compute_routing_with_hysteresis_into(g, q, dep, ws, *normal,
-                                                        ws.primary);
-        } else {
-          routing::compute_routing_into(g, q, dep, ws, ws.primary);
-        }
+        // Hysteresis pins routes of the pre-attack state.
+        routing::compute_routing_with_hysteresis_into(
+            g, {d, m, cfg.model}, dep, ws, *normal, ws.primary);
         ws.primary.flags_into(ws.attacked_flags);
       }
       po.attacked = ws.attacked_flags;
@@ -175,25 +181,21 @@ void accumulate_group_into(const AsGraph& g, AsId d,
       ws.lanes.flags_into(k, routing::LanePass::View::kEmpty, ws.empty_flags);
       po.attacked_empty = ws.empty_flags;
     }
+    if (lane_classes) ws.lanes.partition_into(k, ws.partition_classes);
 
-    // The partition state owns ws.baseline (or the reach buffers for
-    // security 1st), which nothing above reads.
-    std::optional<security::PartitionContext> partition;
     if (wants_partitions) {
-      partition.emplace(g, d, m, cfg.model, cfg.lp, ws);
-      po.partition = &*partition;
+      if (ladder_partitions) {
+        security::PartitionContext(g, d, m, cfg.model, cfg.lp, ws)
+            .classes_into(ws.ladder_classes);
+        po.partition = ws.ladder_classes;
+      } else {
+        po.partition = ws.partition_classes;
+      }
       security::PartitionCounts local;
       security::accumulate_into(po, local);
       acc.partitions += local;
       acc.w_partitions.add_scaled(local, weight);
     }
-    if (wants_downgrades && (!partition || !lp_standard)) {
-      // The downgrade immunity check always uses the standard LP ladder
-      // (matching analyze_downgrades); rebuild only if the partition
-      // analysis ran with a different ladder.
-      partition.emplace(g, d, m, cfg.model, LocalPrefPolicy::standard(), ws);
-    }
-
     if (cfg.analyses.contains(Analysis::kHappiness)) {
       security::HappyTotals local;
       security::accumulate_into(po, local);
@@ -201,7 +203,7 @@ void accumulate_group_into(const AsGraph& g, AsId d,
       acc.w_happiness.add_scaled(local, weight);
     }
     if (wants_downgrades) {
-      po.partition = &*partition;
+      po.partition = ws.partition_classes;
       security::DowngradeStats local;
       security::accumulate_into(po, local);
       acc.downgrades += local;

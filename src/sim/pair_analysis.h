@@ -13,14 +13,15 @@
 // Engine computations per pair, all five analyses:
 //   standalone  happiness 1 + partitions 1 + downgrades 3 + collateral 2
 //               + root causes 3 = 10 full engine runs
-//   fused       the partition state (PartitionContext) per pair, plus a
-//               share of two per-group computations: the normal outcome
+//   fused       a share of two per-group computations: the normal outcome
 //               {d, kNoAs, model}, computed once per (destination, worker),
 //               and one lane pass (routing/lanes.h) per chunk of up to 32
 //               attackers, which yields every attacker's attacked state
-//               under S and under S = emptyset. Only hysteresis and
-//               security 1st/2nd with a signed origin still run the scalar
-//               engine per pair for the attacked state under S.
+//               under S (secure stages included) and under S = emptyset,
+//               and every attacker's partition classes. Per pair, only
+//               hysteresis runs the scalar engine (for the attacked state
+//               under S), and only LP-k partitions under security 2nd/3rd
+//               build a PartitionContext.
 //
 // The analyses read outcomes as flag views (security/pair_outcomes.h): one
 // byte per AS, filled from a scalar RoutingOutcome or from one lane of the
@@ -116,6 +117,14 @@ class AnalysisSet {
 
 [[nodiscard]] constexpr AnalysisSet operator|(Analysis a, Analysis b) {
   return AnalysisSet(a) | AnalysisSet(b);
+}
+
+/// False if `analyses` select partitions or downgrades under the insecure
+/// model, where neither is defined (both compare S*BGP deployments).
+[[nodiscard]] constexpr bool partitions_defined(SecurityModel model,
+                                                AnalysisSet analyses) {
+  return model != SecurityModel::kInsecure ||
+         !analyses.intersects(Analysis::kPartitions | Analysis::kDowngrades);
 }
 
 /// What to compute for every pair. The deployment is passed separately so
@@ -243,10 +252,10 @@ struct SweepPlan {
 /// where the mirrors equal the unweighted counters.
 ///
 /// Requires a non-empty analysis set, at most routing::kLaneWidth
-/// attackers, none equal to d, and `weights` empty or parallel to
-/// `attackers` (throws std::invalid_argument otherwise; partition/downgrade
-/// analyses also reject SecurityModel::kInsecure, matching
-/// PartitionContext). An empty attacker list adds nothing.
+/// attackers, none equal to d, `weights` empty or parallel to `attackers`,
+/// and no partition or downgrade analysis under SecurityModel::kInsecure
+/// (throws std::invalid_argument otherwise). An empty attacker list adds
+/// nothing.
 ///
 /// `sweep_context` controls the per-destination cache of the normal
 /// outcome in ws.dest_baseline: 0 disables it; a token from

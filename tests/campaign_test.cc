@@ -242,6 +242,28 @@ TEST(Campaign, RejectsBadCampaignsWithRegistryNamesInMessage) {
   EXPECT_THROW((void)run_campaign(no_analyses), std::invalid_argument);
 }
 
+TEST(Campaign, RejectsInsecurePartitionsBeforeRunningAnyCell) {
+  // A spec that cannot run anywhere is a configuration error, not a failed
+  // cell: run_campaign names it before any cell runs.
+  for (const Analysis a : {Analysis::kPartitions, Analysis::kDowngrades}) {
+    CampaignSpec campaign = small_campaign(1);
+    ExperimentSpec bad = campaign.experiments[2];  // the insecure baseline
+    bad.label = "insecure-bounds";
+    bad.analyses = a;
+    campaign.experiments.push_back(bad);
+    std::size_t rows = 0;
+    try {
+      (void)run_campaign(campaign, {},
+                         [&](const CampaignTrialRow&) { ++rows; });
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("insecure-bounds"), std::string::npos) << msg;
+    }
+    EXPECT_EQ(rows, 0u);
+  }
+}
+
 TEST(Campaign, BadRolloutStepSurfacesFromTrialPrepInStrictMode) {
   // Out-of-range steps are only detectable once the trial's rollout is
   // built, i.e. inside the batch — in strict mode the error must still

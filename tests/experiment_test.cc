@@ -5,6 +5,7 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "deployment/scenario.h"
@@ -205,6 +206,31 @@ TEST_F(ExperimentTest, RejectsBadSpecs) {
   EXPECT_THROW(
       (void)run_experiment_suite(topo_.graph, tiers_, {empty_analyses}),
       std::invalid_argument);
+}
+
+TEST_F(ExperimentTest, ResolverRejectsInsecurePartitionsAndDowngrades) {
+  // Partitions and downgrades compare S*BGP deployments; under the
+  // insecure model the resolver names the spec instead of letting every
+  // pair unit fail later.
+  ExperimentResolver resolver(topo_.graph, tiers_, topo_.sample_salt);
+  for (const Analysis a : {Analysis::kPartitions, Analysis::kDowngrades}) {
+    ExperimentSpec spec;
+    spec.label = "insecure-bounds";
+    spec.scenario = "t1-t2";
+    spec.model = SecurityModel::kInsecure;
+    spec.analyses = Analysis::kHappiness | a;
+    spec.num_attackers = 2;
+    spec.num_destinations = 2;
+    try {
+      (void)resolver.resolve(spec);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("insecure-bounds"), std::string::npos) << msg;
+    }
+    spec.model = SecurityModel::kSecurityFirst;
+    EXPECT_NO_THROW((void)resolver.resolve(spec));
+  }
 }
 
 }  // namespace

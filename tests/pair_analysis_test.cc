@@ -301,9 +301,11 @@ PairStats standalone_pair(const topology::AsGraph& g, AsId d, AsId m,
     po.attacked_empty = empty_flags;
     security::accumulate_into(po, s.root_causes);
     if (partitions_defined) {
-      const security::PartitionContext partition(
-          g, d, m, cfg.model, routing::LocalPrefPolicy::standard(), ws);
-      po.partition = &partition;
+      std::vector<std::uint8_t> classes;
+      security::PartitionContext(g, d, m, cfg.model,
+                                 routing::LocalPrefPolicy::standard(), ws)
+          .classes_into(classes);
+      po.partition = classes;
       security::accumulate_into(po, s.downgrades);
     }
   }
@@ -534,6 +536,17 @@ TEST(AttackPairs, AccumulatePairRejectsBadInputs) {
   EXPECT_THROW(accumulate_group_into(topo.graph, 7, self, {}, cfg, dep, ws, 0,
                                      acc),
                std::invalid_argument);
+  // Partitions and downgrades under the insecure model, even with no
+  // attackers to classify.
+  for (const Analysis a : {Analysis::kPartitions, Analysis::kDowngrades}) {
+    PairAnalysisConfig insecure;
+    insecure.analyses = a;
+    insecure.model = SecurityModel::kInsecure;
+    const auto run = [&] {
+      accumulate_group_into(topo.graph, 7, {}, {}, insecure, dep, ws, 0, acc);
+    };
+    EXPECT_THROW(run(), std::invalid_argument);
+  }
   EXPECT_EQ(acc, PairStats{});
 }
 

@@ -22,6 +22,7 @@
 #include "routing/reach.h"
 #include "routing/reference.h"
 #include "routing/workspace.h"
+#include "security/partition.h"
 #include "test_support.h"
 #include "topology/generator.h"
 #include "topology/registry.h"
@@ -422,7 +423,6 @@ void expect_lanes_match_scalar(const AsGraph& g, AsId d,
     SCOPED_TRACE(std::string(to_string(model)) + " d=" + std::to_string(d) +
                  " m=" + std::to_string(m) + " lane " + std::to_string(k) +
                  "/" + std::to_string(attackers.size()));
-    ASSERT_TRUE(routing_seed_applicable({d, m, model}, dep));
     compute_routing_into(g, {d, m, model}, dep, ws, ws.primary);
     ws.primary.flags_into(scalar);
     pass.flags_into(k, LanePass::View::kDeployment, lane);
@@ -435,30 +435,80 @@ void expect_lanes_match_scalar(const AsGraph& g, AsId d,
   }
 }
 
-/// Lane counts 1, 5, 31 and 32 on d (at most |V| - 1), under insecure BGP,
-/// security 3rd with d signing and not signing, and security 1st/2nd with
-/// an unsigned origin.
-void check_lane_pass(const AsGraph& g, AsId d, const Deployment& dep,
-                     util::Rng& rng) {
-  const auto n = static_cast<std::uint32_t>(g.num_ases());
+/// Every lane's partition classes, from a pass run under `model` and
+/// `dep`, must equal PartitionContext::classify for (d, m_k) on every AS
+/// under each S*BGP model with the standard LP ladder.
+void expect_lane_partitions_match_scalar(const AsGraph& g, AsId d,
+                                         const std::vector<AsId>& attackers,
+                                         SecurityModel model,
+                                         const Deployment& dep,
+                                         EngineWorkspace& ws) {
+  LanePass pass;
+  pass.run(g, d, attackers, model, dep);
+  std::vector<std::uint8_t> lane;
+  std::vector<std::uint8_t> scalar;
+  for (const SecurityModel classes : kAllSecurityModels) {
+    pass.partition(classes);
+    for (std::size_t k = 0; k < attackers.size(); ++k) {
+      const AsId m = attackers[k];
+      SCOPED_TRACE(std::string(to_string(classes)) + " classes, pass under " +
+                   std::string(to_string(model)) + " d=" + std::to_string(d) +
+                   " m=" + std::to_string(m) + " lane " + std::to_string(k) +
+                   "/" + std::to_string(attackers.size()));
+      // LocalPrefPolicy{} is the standard ladder.
+      security::PartitionContext(g, d, m, classes, {}, ws).classes_into(scalar);
+      pass.partition_into(k, lane);
+      ASSERT_EQ(lane, scalar);
+    }
+  }
+}
+
+/// Deployments equal to `dep` but with d signing and with d not signing.
+std::pair<Deployment, Deployment> signed_and_unsigned(const Deployment& dep,
+                                                      AsId d) {
   Deployment signed_dep = dep;
   signed_dep.secure.insert(d);
   Deployment unsigned_dep = dep;
   unsigned_dep.secure.erase(d);
   unsigned_dep.simplex.erase(d);
+  return {std::move(signed_dep), std::move(unsigned_dep)};
+}
+
+/// Lane counts 1, 5, 31 and 32 on d (at most |V| - 1), under insecure BGP
+/// and under each S*BGP model with d signing (secure stages for security
+/// 1st/2nd) and not signing.
+void check_lane_pass(const AsGraph& g, AsId d, const Deployment& dep,
+                     util::Rng& rng) {
+  const auto n = static_cast<std::uint32_t>(g.num_ases());
+  const auto [signed_dep, unsigned_dep] = signed_and_unsigned(dep, d);
   EngineWorkspace ws(n);
   for (const std::size_t lanes : {1u, 5u, 31u, 32u}) {
     const auto attackers =
         lane_attackers(g, d, std::min<std::size_t>(lanes, n - 1), rng);
     expect_lanes_match_scalar(g, d, attackers, SecurityModel::kInsecure, dep,
                               ws);
-    for (const Deployment* s : {&signed_dep, &unsigned_dep}) {
-      expect_lanes_match_scalar(g, d, attackers,
-                                SecurityModel::kSecurityThird, *s, ws);
+    for (const SecurityModel model : kAllSecurityModels) {
+      for (const Deployment* s : {&signed_dep, &unsigned_dep}) {
+        expect_lanes_match_scalar(g, d, attackers, model, *s, ws);
+      }
     }
-    for (const SecurityModel model :
-         {SecurityModel::kSecurityFirst, SecurityModel::kSecuritySecond}) {
-      expect_lanes_match_scalar(g, d, attackers, model, unsigned_dep, ws);
+  }
+}
+
+/// The partition classes of lane counts 1, 5, 31 and 32 on d, from passes
+/// under each S*BGP model with d signing and not signing.
+void check_lane_partitions(const AsGraph& g, AsId d, const Deployment& dep,
+                           util::Rng& rng) {
+  const auto n = static_cast<std::uint32_t>(g.num_ases());
+  const auto [signed_dep, unsigned_dep] = signed_and_unsigned(dep, d);
+  EngineWorkspace ws(n);
+  for (const std::size_t lanes : {1u, 5u, 31u, 32u}) {
+    const auto attackers =
+        lane_attackers(g, d, std::min<std::size_t>(lanes, n - 1), rng);
+    for (const SecurityModel model : kAllSecurityModels) {
+      for (const Deployment* s : {&signed_dep, &unsigned_dep}) {
+        expect_lane_partitions_match_scalar(g, d, attackers, model, *s, ws);
+      }
     }
   }
 }
@@ -485,6 +535,28 @@ TEST(LanePass, MatchesScalarOnTiny500) {
   }
 }
 
+TEST_P(EquivalenceTest, LanePartitionsMatchScalarOnRandomGraphs) {
+  const auto [n, seed] = GetParam();
+  util::Rng rng(seed + 5353);
+  const AsGraph g = random_gr_graph(n, rng);
+  for (int trial = 0; trial < 3; ++trial) {
+    const auto d = static_cast<AsId>(rng.next_below(n));
+    const Deployment dep = random_deployment(n, 0.45, rng);
+    check_lane_partitions(g, d, dep, rng);
+  }
+}
+
+TEST(LanePass, PartitionsMatchScalarOnTiny500) {
+  const auto topo = topology::generate_trial("tiny-500", 20130812, 0);
+  const auto n = static_cast<std::uint32_t>(topo.graph.num_ases());
+  util::Rng rng(78);
+  for (int trial = 0; trial < 4; ++trial) {
+    const auto d = static_cast<AsId>(rng.next_below(n));
+    const Deployment dep = random_deployment(n, 0.4, rng);
+    check_lane_partitions(topo.graph, d, dep, rng);
+  }
+}
+
 TEST(LanePass, RejectsMalformedGroups) {
   util::Rng rng(6);
   const AsGraph g = random_gr_graph(60, rng);
@@ -492,15 +564,8 @@ TEST(LanePass, RejectsMalformedGroups) {
   dep.secure.insert(3);
   LanePass pass;
   const std::vector<AsId> one = {4};
-  // Signed origin under security 1st/2nd: secure stages would run.
-  for (const SecurityModel model :
-       {SecurityModel::kSecurityFirst, SecurityModel::kSecuritySecond}) {
-    EXPECT_THROW(pass.run(g, 3, one, model, dep), std::invalid_argument);
-  }
-  Deployment simplex(60);
-  simplex.simplex.insert(3);
-  EXPECT_THROW(pass.run(g, 3, one, SecurityModel::kSecurityFirst, simplex),
-               std::invalid_argument);
+  // Partitions before any pass.
+  EXPECT_THROW(pass.partition(SecurityModel::kSecurityThird), std::logic_error);
   // Zero or more than kLaneWidth attackers.
   EXPECT_THROW(pass.run(g, 3, {}, SecurityModel::kInsecure, dep),
                std::invalid_argument);
@@ -523,6 +588,12 @@ TEST(LanePass, RejectsMalformedGroups) {
   std::vector<std::uint8_t> flags;
   EXPECT_THROW(pass.flags_into(1, LanePass::View::kEmpty, flags),
                std::out_of_range);
+  // Partitions: none under insecure BGP, none read before partition() has
+  // run on this pass, and no lane past the pass's.
+  EXPECT_THROW(pass.partition(SecurityModel::kInsecure), std::invalid_argument);
+  EXPECT_THROW(pass.partition_into(0, flags), std::logic_error);
+  pass.partition(SecurityModel::kSecurityThird);
+  EXPECT_THROW(pass.partition_into(1, flags), std::out_of_range);
 }
 
 // --- Golden outcome digest ---------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "routing/engine.h"
+#include "routing/lanes.h"
 #include "security/case_studies.h"
 #include "security/collateral.h"
 #include "security/downgrade.h"
@@ -133,6 +134,20 @@ TEST(Partition, SharesSumToOne) {
 
 class PartitionExhaustive : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// The lane pass's classes for (d, m) under `model`: one lane on d.
+std::vector<PartitionClass> lane_classes(const AsGraph& g, AsId d, AsId m,
+                                         SecurityModel model) {
+  routing::LanePass pass;
+  const AsId attackers[] = {m};
+  pass.run(g, d, attackers, SecurityModel::kInsecure, Deployment{});
+  pass.partition(model);
+  std::vector<std::uint8_t> bytes;
+  pass.partition_into(0, bytes);
+  std::vector<PartitionClass> cls;
+  for (const std::uint8_t b : bytes) cls.push_back(PartitionClass{b});
+  return cls;
+}
+
 TEST_P(PartitionExhaustive, ImmuneAndDoomedHoldForEveryDeployment) {
   // Exact invariants for the security 1st and 3rd classifications: immune
   // sources are strictly happy and doomed sources never happy under EVERY
@@ -148,6 +163,8 @@ TEST_P(PartitionExhaustive, ImmuneAndDoomedHoldForEveryDeployment) {
   for (const auto model : {SecurityModel::kSecurityFirst,
                            SecurityModel::kSecurityThird}) {
     const auto cls = classify_sources(g, d, m, model);
+    // The lane classes inherit every property checked below.
+    ASSERT_EQ(lane_classes(g, d, m, model), cls) << to_string(model);
     for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
       Deployment dep(n);
       for (AsId v = 0; v < n; ++v) {
@@ -185,6 +202,7 @@ TEST_P(PartitionExhaustive, SecuritySecondConsistentWithBaselineOutcome) {
     AsId m = static_cast<AsId>(rng.next_below(n));
     if (m == d) m = (m + 1) % n;
     const auto cls = classify_sources(g, d, m, SecurityModel::kSecuritySecond);
+    ASSERT_EQ(lane_classes(g, d, m, SecurityModel::kSecuritySecond), cls);
     const auto base = compute_routing(
         g, Query{d, m, SecurityModel::kInsecure}, {});
     const auto reach_d = routing::perceivable_distances(g, d, 0, m);
