@@ -132,6 +132,174 @@ TEST(Campaign, TrialRowsRoundTripThroughCsvAndJson) {
   EXPECT_EQ(read_trial_rows_json(json_in), result.trial_rows);
 }
 
+// Two hand-built per-trial rows: uniform-weight ones fit the legacy
+// layout, and `weighted` scales their mirrors so only the weighted layout
+// can hold them.
+std::vector<CampaignTrialRow> json_pin_rows(bool weighted) {
+  std::vector<CampaignTrialRow> rows(2);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    CampaignTrialRow& r = rows[i];
+    r.topology = "tiny-500";
+    r.trial = 1;
+    r.topology_seed = 9007199254740993ull + i;
+    r.spec_index = i;
+    r.row.label = i == 0 ? "say \"hi\"" : "t1-t2 s3";
+    r.row.step_label = i == 0 ? "" : "step\\1";
+    r.row.model = i == 0 ? SecurityModel::kSecurityThird
+                         : SecurityModel::kInsecure;
+    r.row.hysteresis = i == 0;
+    r.row.num_non_stub_secure = 17 + i;
+    r.row.total_secure = 40 + i;
+    r.row.num_attackers = 4;
+    r.row.num_destinations = 3 + i;
+    PairStats& s = r.row.stats;
+    s.pairs = 11 + i;
+    s.happiness = {5 + i, 7 + i, 30};
+    s.partitions.doomed = 2;
+    s.partitions.protectable = 3 + i;
+    s.partitions.immune = 4;
+    s.partitions.sources = 9 + i;
+    s.downgrades.downgraded = 1;
+    s.collateral.benefits = 6;
+    s.root_causes.downgraded = 8 + i;
+    s.weight = s.pairs;
+    s.w_happiness = s.happiness;
+    s.w_partitions = s.partitions;
+    s.w_downgrades = s.downgrades;
+    s.w_collateral = s.collateral;
+    s.w_root_causes = s.root_causes;
+    if (weighted) {
+      s.weight = 3 * s.pairs;
+      s.w_happiness.happy_lower = 3 * s.happiness.happy_lower + i;
+      s.w_partitions.immune = 12;
+    }
+  }
+  return rows;
+}
+
+// The per-trial JSON writer's exact bytes, legacy and weighted layouts,
+// empty and two-row files. Nothing else pins JSON output byte for byte.
+TEST(Campaign, TrialRowJsonWriterBytesArePinned) {
+  const auto write = [](const std::vector<CampaignTrialRow>& rows,
+                        bool weighted) {
+    std::ostringstream os;
+    write_trial_rows_json(os, rows, weighted);
+    return os.str();
+  };
+  EXPECT_EQ(write({}, false), "[\n]\n");
+  EXPECT_EQ(write({}, true), "[\n]\n");
+  const std::string legacy =
+      "[\n"
+      "  {\"topology\": \"tiny-500\", \"trial\": 1, "
+      "\"topology_seed\": 9007199254740993, \"spec\": 0, "
+      "\"label\": \"say \\\"hi\\\"\", \"step_label\": \"\", "
+      "\"model\": \"security 3rd\", \"hysteresis\": true, "
+      "\"num_non_stub_secure\": 17, \"total_secure\": 40, "
+      "\"num_attackers\": 4, \"num_destinations\": 3, \"pairs\": 11, "
+      "\"happy_lower\": 5, \"happy_upper\": 7, \"happy_sources\": 30, "
+      "\"doomed\": 2, \"protectable\": 3, \"immune\": 4, "
+      "\"partition_sources\": 9, \"dg_sources\": 0, "
+      "\"dg_secure_normal\": 0, \"dg_downgraded\": 1, "
+      "\"dg_secure_kept\": 0, \"dg_kept_and_immune\": 0, "
+      "\"col_insecure_sources\": 0, \"col_benefits\": 6, "
+      "\"col_damages\": 0, \"col_benefits_upper\": 0, "
+      "\"col_damages_upper\": 0, \"rc_sources\": 0, "
+      "\"rc_secure_normal\": 0, \"rc_downgraded\": 8, "
+      "\"rc_secure_wasted\": 0, \"rc_secure_protecting\": 0, "
+      "\"rc_collateral_benefits\": 0, \"rc_collateral_damages\": 0, "
+      "\"rc_happy_baseline\": 0, \"rc_happy_deployed\": 0},\n"
+      "  {\"topology\": \"tiny-500\", \"trial\": 1, "
+      "\"topology_seed\": 9007199254740994, \"spec\": 1, "
+      "\"label\": \"t1-t2 s3\", \"step_label\": \"step\\\\1\", "
+      "\"model\": \"baseline\", \"hysteresis\": false, "
+      "\"num_non_stub_secure\": 18, \"total_secure\": 41, "
+      "\"num_attackers\": 4, \"num_destinations\": 4, \"pairs\": 12, "
+      "\"happy_lower\": 6, \"happy_upper\": 8, \"happy_sources\": 30, "
+      "\"doomed\": 2, \"protectable\": 4, \"immune\": 4, "
+      "\"partition_sources\": 10, \"dg_sources\": 0, "
+      "\"dg_secure_normal\": 0, \"dg_downgraded\": 1, "
+      "\"dg_secure_kept\": 0, \"dg_kept_and_immune\": 0, "
+      "\"col_insecure_sources\": 0, \"col_benefits\": 6, "
+      "\"col_damages\": 0, \"col_benefits_upper\": 0, "
+      "\"col_damages_upper\": 0, \"rc_sources\": 0, "
+      "\"rc_secure_normal\": 0, \"rc_downgraded\": 9, "
+      "\"rc_secure_wasted\": 0, \"rc_secure_protecting\": 0, "
+      "\"rc_collateral_benefits\": 0, \"rc_collateral_damages\": 0, "
+      "\"rc_happy_baseline\": 0, \"rc_happy_deployed\": 0}\n"
+      "]\n";
+  EXPECT_EQ(write(json_pin_rows(false), false), legacy);
+  const std::string weighted =
+      "[\n"
+      "  {\"topology\": \"tiny-500\", \"trial\": 1, "
+      "\"topology_seed\": 9007199254740993, \"spec\": 0, "
+      "\"label\": \"say \\\"hi\\\"\", \"step_label\": \"\", "
+      "\"model\": \"security 3rd\", \"hysteresis\": true, "
+      "\"num_non_stub_secure\": 17, \"total_secure\": 40, "
+      "\"num_attackers\": 4, \"num_destinations\": 3, \"pairs\": 11, "
+      "\"happy_lower\": 5, \"happy_upper\": 7, \"happy_sources\": 30, "
+      "\"doomed\": 2, \"protectable\": 3, \"immune\": 4, "
+      "\"partition_sources\": 9, \"dg_sources\": 0, "
+      "\"dg_secure_normal\": 0, \"dg_downgraded\": 1, "
+      "\"dg_secure_kept\": 0, \"dg_kept_and_immune\": 0, "
+      "\"col_insecure_sources\": 0, \"col_benefits\": 6, "
+      "\"col_damages\": 0, \"col_benefits_upper\": 0, "
+      "\"col_damages_upper\": 0, \"rc_sources\": 0, "
+      "\"rc_secure_normal\": 0, \"rc_downgraded\": 8, "
+      "\"rc_secure_wasted\": 0, \"rc_secure_protecting\": 0, "
+      "\"rc_collateral_benefits\": 0, \"rc_collateral_damages\": 0, "
+      "\"rc_happy_baseline\": 0, \"rc_happy_deployed\": 0, \"weight\": 33, "
+      "\"w_happy_lower\": 15, \"w_happy_upper\": 7, "
+      "\"w_happy_sources\": 30, \"w_doomed\": 2, \"w_protectable\": 3, "
+      "\"w_immune\": 12, \"w_partition_sources\": 9, \"w_dg_sources\": 0, "
+      "\"w_dg_secure_normal\": 0, \"w_dg_downgraded\": 1, "
+      "\"w_dg_secure_kept\": 0, \"w_dg_kept_and_immune\": 0, "
+      "\"w_col_insecure_sources\": 0, \"w_col_benefits\": 6, "
+      "\"w_col_damages\": 0, \"w_col_benefits_upper\": 0, "
+      "\"w_col_damages_upper\": 0, \"w_rc_sources\": 0, "
+      "\"w_rc_secure_normal\": 0, \"w_rc_downgraded\": 8, "
+      "\"w_rc_secure_wasted\": 0, \"w_rc_secure_protecting\": 0, "
+      "\"w_rc_collateral_benefits\": 0, \"w_rc_collateral_damages\": 0, "
+      "\"w_rc_happy_baseline\": 0, \"w_rc_happy_deployed\": 0},\n"
+      "  {\"topology\": \"tiny-500\", \"trial\": 1, "
+      "\"topology_seed\": 9007199254740994, \"spec\": 1, "
+      "\"label\": \"t1-t2 s3\", \"step_label\": \"step\\\\1\", "
+      "\"model\": \"baseline\", \"hysteresis\": false, "
+      "\"num_non_stub_secure\": 18, \"total_secure\": 41, "
+      "\"num_attackers\": 4, \"num_destinations\": 4, \"pairs\": 12, "
+      "\"happy_lower\": 6, \"happy_upper\": 8, \"happy_sources\": 30, "
+      "\"doomed\": 2, \"protectable\": 4, \"immune\": 4, "
+      "\"partition_sources\": 10, \"dg_sources\": 0, "
+      "\"dg_secure_normal\": 0, \"dg_downgraded\": 1, "
+      "\"dg_secure_kept\": 0, \"dg_kept_and_immune\": 0, "
+      "\"col_insecure_sources\": 0, \"col_benefits\": 6, "
+      "\"col_damages\": 0, \"col_benefits_upper\": 0, "
+      "\"col_damages_upper\": 0, \"rc_sources\": 0, "
+      "\"rc_secure_normal\": 0, \"rc_downgraded\": 9, "
+      "\"rc_secure_wasted\": 0, \"rc_secure_protecting\": 0, "
+      "\"rc_collateral_benefits\": 0, \"rc_collateral_damages\": 0, "
+      "\"rc_happy_baseline\": 0, \"rc_happy_deployed\": 0, \"weight\": 36, "
+      "\"w_happy_lower\": 19, \"w_happy_upper\": 8, "
+      "\"w_happy_sources\": 30, \"w_doomed\": 2, \"w_protectable\": 4, "
+      "\"w_immune\": 12, \"w_partition_sources\": 10, \"w_dg_sources\": 0, "
+      "\"w_dg_secure_normal\": 0, \"w_dg_downgraded\": 1, "
+      "\"w_dg_secure_kept\": 0, \"w_dg_kept_and_immune\": 0, "
+      "\"w_col_insecure_sources\": 0, \"w_col_benefits\": 6, "
+      "\"w_col_damages\": 0, \"w_col_benefits_upper\": 0, "
+      "\"w_col_damages_upper\": 0, \"w_rc_sources\": 0, "
+      "\"w_rc_secure_normal\": 0, \"w_rc_downgraded\": 9, "
+      "\"w_rc_secure_wasted\": 0, \"w_rc_secure_protecting\": 0, "
+      "\"w_rc_collateral_benefits\": 0, \"w_rc_collateral_damages\": 0, "
+      "\"w_rc_happy_baseline\": 0, \"w_rc_happy_deployed\": 0}\n"
+      "]\n";
+  EXPECT_EQ(write(json_pin_rows(true), true), weighted);
+  // The default overload picks the layout from the rows.
+  std::ostringstream picked;
+  write_trial_rows_json(picked, json_pin_rows(true));
+  EXPECT_EQ(picked.str(), weighted);
+  // Non-uniform weights do not fit the legacy layout.
+  EXPECT_THROW((void)write(json_pin_rows(true), false), std::logic_error);
+}
+
 TEST(Campaign, AggregatedRowsRoundTripThroughCsvAndJson) {
   const CampaignResult result = run_campaign(small_campaign(3));
   ASSERT_FALSE(result.rows.empty());
