@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -24,7 +22,8 @@ namespace {
 
 /// Default trials per wave for adaptive campaigns: small enough that a
 /// quickly-converging spec stops after a handful of trials, large enough
-/// that the per-wave submission still amortizes topology prep overlap.
+/// that a wave's trials prepare in parallel and its sweep units keep every
+/// worker busy.
 constexpr std::size_t kDefaultAdaptiveWave = 4;
 
 double ratio(std::size_t num, std::size_t den) {
@@ -32,17 +31,25 @@ double ratio(std::size_t num, std::size_t den) {
                   : static_cast<double>(num) / static_cast<double>(den);
 }
 
-/// Everything one trial owns: its generated topology, the resolver whose
-/// rollout cache the resolved deployments point into, and the readiness /
-/// failure flags pair-analysis units of this trial wait on.
+/// Everything one trial of a wave owns while the wave runs: its generated
+/// topology, and the resolver whose rollout cache the resolved deployments
+/// point into.
 struct TrialState {
-  std::uint64_t seed = 0;
   topology::GeneratedTopology topo;
   topology::TierInfo tiers;
   std::unique_ptr<ExperimentResolver> resolver;
-  std::vector<ResolvedExperiment> resolved;
-  std::atomic<bool> ready{false};   // never set if the trial's prep threw
-  std::atomic<bool> failed{false};  // isolation mode: prep threw
+  std::vector<ResolvedExperiment> resolved;  // by spec; active specs only
+};
+
+/// A wave cell that needs engine work.
+struct ActiveCell {
+  std::size_t slot = 0;   // the cell's emitter slot in the wave
+  std::size_t trial = 0;  // index of its trial among the wave's states
+  SweepPlan plan;         // built by its trial's preparation
+  /// Sweep-context token: all pairs of a cell share the trial graph,
+  /// deployment and config, so their per-destination baselines are
+  /// mutually reusable — and never across cells.
+  std::uint64_t token = 0;
 };
 
 }  // namespace
@@ -256,11 +263,10 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
       campaign.wave_size != 0 ? campaign.wave_size
                               : (adaptive ? kDefaultAdaptiveWave : budget);
   const std::size_t num_cells = budget * num_specs;
-  constexpr std::size_t kNotActive = static_cast<std::size_t>(-1);
 
-  std::vector<TrialState> states(budget);
+  std::vector<std::uint64_t> seeds(budget);
   for (std::size_t t = 0; t < budget; ++t) {
-    states[t].seed = topology::trial_seed(campaign.seed, campaign.topology, t);
+    seeds[t] = topology::trial_seed(campaign.seed, campaign.topology, t);
   }
 
   // Cell keys and their fingerprints are computed unconditionally: they
@@ -289,7 +295,7 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
       }
     }
     for (std::size_t cell = 0; cell < num_cells; ++cell) {
-      keys[cell] = {topo_fp, states[cell / num_specs].seed,
+      keys[cell] = {topo_fp, seeds[cell / num_specs],
                     spec_fps[cell % num_specs]};
       cell_fps[cell] = cache_key_fingerprint(keys[cell]);
     }
@@ -314,46 +320,21 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
   result.topology = campaign.topology;
   result.seed = campaign.seed;
 
-  if (campaign.merge_only) {
-    // Assembly without execution: hits become rows, misses become
-    // structured failures — the caller decides whether an incomplete
-    // merge is an error (the CLI exits non-zero listing them).
-    for (std::size_t cell = 0; cell < num_cells; ++cell) {
-      const std::size_t t = cell / num_specs;
-      const std::size_t s = cell % num_specs;
-      if (auto row = cache->lookup(keys[cell]); row.has_value()) {
-        CampaignTrialRow tr;
-        tr.topology = campaign.topology;
-        tr.trial = t;
-        tr.topology_seed = states[t].seed;
-        tr.spec_index = s;
-        tr.row = std::move(*row);
-        if (sink) sink(tr);
-        result.trial_rows.push_back(std::move(tr));
-      } else {
-        result.failed_cells.push_back(
-            {t, s,
-             "not in cache: " + cache_entry_name(keys[cell]) +
-                 " missing from '" + campaign.cache_dir + "'"});
-      }
-    }
-    result.rows = aggregate_trial_rows(result.trial_rows);
-    for (auto& row : result.rows) {
-      for (const auto& f : result.failed_cells) {
-        if (f.spec_index == row.spec_index) ++row.failed_trials;
-      }
-    }
-    const auto cache_stats = cache->stats();
-    result.cache_hits = cache_stats.hits;
-    result.cache_misses = cache_stats.misses;
-    return result;
-  }
-
   BatchExecutor& exec =
       opts.executor != nullptr ? *opts.executor : BatchExecutor::shared();
   const std::size_t workers = exec.effective_workers(opts.threads);
-  const bool strict = campaign.strict;
   std::atomic<std::size_t> store_failures{0};
+
+  // Strict mode rethrows the first failure of a phase; isolation mode
+  // collects every failure, sorted by unit index.
+  const auto run_phase = [&](std::size_t count,
+                             const BatchExecutor::Task& task) {
+    if (campaign.strict) {
+      exec.run(count, task, workers);
+      return std::vector<UnitFailure>{};
+    }
+    return exec.run_isolated(count, task, workers);
+  };
 
   // Per-spec sequential-stopping state: the running cross-wave
   // accumulators and the reason scheduling ended.
@@ -368,18 +349,16 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
     CampaignTrialRow tr;
     tr.topology = campaign.topology;
     tr.trial = cell / num_specs;
-    tr.topology_seed = states[cell / num_specs].seed;
+    tr.topology_seed = seeds[cell / num_specs];
     tr.spec_index = cell % num_specs;
     tr.row = std::move(row);
     return tr;
   };
 
-  // One wave: trials [first_trial, last_trial) x wave_specs, one
-  // BatchExecutor submission (the classic whole-campaign schedule is the
-  // single-wave special case). Appends the wave's rows — in (trial-major,
-  // spec order) emission order — to result.trial_rows, its failures to
-  // result.failed_cells, and hands every completed row to `sink` the
-  // moment order allows.
+  // One wave: trials [first_trial, last_trial) x wave_specs. Appends the
+  // wave's rows — in (trial-major, spec order) emission order — to
+  // result.trial_rows, its failures to result.failed_cells, and hands
+  // every completed row to `sink` the moment order allows.
   const auto run_wave = [&](std::size_t first_trial, std::size_t last_trial,
                             const std::vector<std::size_t>& wave_specs) {
     // The wave's cells in emission order, this shard's only.
@@ -401,6 +380,7 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
     // 0 pending, 1 row, 2 failed.
     std::vector<signed char> slot_state(num_slots, 0);
     std::vector<CampaignTrialRow> slot_rows(num_slots);
+    std::vector<std::string> slot_errors(num_slots);
     std::size_t emit_cursor = 0;
     const auto resolve_slot = [&](std::size_t slot,
                                   std::optional<CampaignTrialRow> row) {
@@ -416,127 +396,114 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
         ++emit_cursor;
       }
     };
+    // Failures are resolved between phases, on this thread only; the
+    // first error of a cell is the one reported.
+    const auto fail_slot = [&](std::size_t slot, std::string error) {
+      if (slot_state[slot] != 0) return;
+      slot_errors[slot] = std::move(error);
+      resolve_slot(slot, std::nullopt);
+    };
 
     // Cache consult for this wave's cells only: hits resolve their slots
-    // immediately (streaming as soon as order allows), and a trial whose
-    // every cell hits is never generated. Cells an adaptive campaign
-    // never schedules are never looked up, so cache stats count exactly
-    // the attempted cells.
-    std::vector<char> is_cached(num_slots, 0);
-    if (cache != nullptr) {
-      for (std::size_t i = 0; i < num_slots; ++i) {
-        if (auto row = cache->lookup(keys[wave_cells[i]]); row.has_value()) {
-          is_cached[i] = 1;
-          resolve_slot(i, make_trial_row(wave_cells[i], std::move(*row)));
+    // immediately. Merge-only runs fail their misses; otherwise a miss
+    // becomes an active cell, and a trial whose every cell hits is never
+    // generated. Cells an adaptive campaign never schedules are never
+    // looked up, so cache stats count exactly the attempted cells.
+    std::vector<ActiveCell> cells;
+    std::vector<std::size_t> wave_trials;  // trials with an active cell
+    for (std::size_t i = 0; i < num_slots; ++i) {
+      const std::size_t cell = wave_cells[i];
+      if (cache != nullptr) {
+        if (auto row = cache->lookup(keys[cell]); row.has_value()) {
+          resolve_slot(i, make_trial_row(cell, std::move(*row)));
+          continue;
+        }
+        if (campaign.merge_only) {
+          fail_slot(i, "not in cache: " + cache_entry_name(keys[cell]) +
+                           " missing from '" + campaign.cache_dir + "'");
+          continue;
+        }
+      }
+      if (wave_trials.empty() || wave_trials.back() != cell / num_specs) {
+        wave_trials.push_back(cell / num_specs);
+      }
+      cells.push_back({i, wave_trials.size() - 1, {}, next_sweep_context()});
+    }
+    const std::size_t num_active = cells.size();
+
+    // Phase 1, one unit per trial with an active cell: generate and
+    // classify the topology, resolve the specs the trial still runs
+    // (cached cells never read their slot) and plan each active cell's
+    // sweep. The trials' state lives until the wave ends.
+    std::vector<TrialState> states(wave_trials.size());
+    const auto prepare = [&](std::size_t /*worker*/, std::size_t p) {
+      TrialState& st = states[p];
+      st.topo = topology::generate_trial(campaign.topology, campaign.seed,
+                                         wave_trials[p]);
+      st.tiers = st.topo.classify();
+      st.resolver = std::make_unique<ExperimentResolver>(
+          st.topo.graph, st.tiers, st.topo.sample_salt);
+      st.resolved.resize(num_specs);
+      for (ActiveCell& c : cells) {
+        if (c.trial != p) continue;
+        const std::size_t s = wave_cells[c.slot] % num_specs;
+        st.resolved[s] = st.resolver->resolve(campaign.experiments[s]);
+        const ResolvedExperiment& re = st.resolved[s];
+        c.plan = make_sweep_plan(re.attackers, re.destinations, re.traffic);
+      }
+    };
+    // A failed preparation fails every active cell of its trial, and
+    // those cells are never submitted.
+    for (const auto& f : run_phase(wave_trials.size(), prepare)) {
+      for (const ActiveCell& c : cells) {
+        if (c.trial == f.index) {
+          fail_slot(c.slot, "trial preparation failed: " + f.message);
         }
       }
     }
 
-    // The cells that still need engine work, and the trials they require.
-    std::vector<std::size_t> active_slots;  // wave slot of active cell k
-    std::vector<std::size_t> active_of_cell(num_cells, kNotActive);
-    for (std::size_t i = 0; i < num_slots; ++i) {
-      if (is_cached[i] == 0) {
-        active_of_cell[wave_cells[i]] = active_slots.size();
-        active_slots.push_back(i);
-      }
+    // Phase 2: the prepared cells' sweep units, cell after cell, each cell
+    // split by append_sweep_units exactly as analyze_sweep splits a plan.
+    std::vector<SweepUnit> units;
+    std::vector<std::atomic<std::size_t>> remaining(num_active);
+    for (std::size_t k = 0; k < num_active; ++k) {
+      if (slot_state[cells[k].slot] != 0) continue;
+      const std::size_t before = units.size();
+      append_sweep_units(cells[k].plan, k, units);
+      remaining[k].store(units.size() - before, std::memory_order_relaxed);
     }
-    const std::size_t num_active = active_slots.size();
-    std::vector<std::size_t> wave_trials;
-    {
-      std::vector<char> needed(last_trial - first_trial, 0);
-      for (const std::size_t i : active_slots) {
-        needed[wave_cells[i] / num_specs - first_trial] = 1;
-      }
-      for (std::size_t t = first_trial; t < last_trial; ++t) {
-        if (needed[t - first_trial] != 0) wave_trials.push_back(t);
-      }
-    }
-    const std::size_t num_prep = wave_trials.size();
-
-    // Unit layout of the wave's submission: indices [0, num_prep) prepare
-    // the active trials (generate + classify + resolve every scheduled
-    // spec); the rest are group units, one active (trial, spec) cell after
-    // another. A cell has num_lane_chunks(num_attackers) units per
-    // requested destination — analyze_sweep's unit: one destination with
-    // an even chunk of at most kLaneWidth of its attackers. Destinations
-    // that sampling left empty are skipped, and attacker == destination is
-    // dropped from the group, exactly like make_sweep_plan. Prep units sit
-    // at the lowest indices and chunks are handed out in index order, so
-    // every prep is claimed (and being executed) before any worker can
-    // block on its trial's readiness — pair analysis of trial t overlaps
-    // generation of trials t+1...
-    const auto cell_units = [&](std::size_t k) {
-      const auto& spec =
-          campaign.experiments[wave_cells[active_slots[k]] % num_specs];
-      return num_lane_chunks(spec.num_attackers) * spec.num_destinations;
-    };
-    std::vector<std::size_t> cell_end(num_active);
-    {
-      std::size_t unit = num_prep;
-      for (std::size_t k = 0; k < num_active; ++k) {
-        unit += cell_units(k);
-        cell_end[k] = unit;
-      }
-    }
-    const std::size_t total_units =
-        cell_end.empty() ? num_prep : cell_end.back();
-
     std::vector<std::vector<PairStats>> accs(
         workers, std::vector<PairStats>(num_active));
-    // Per-worker scratch for a unit's attacker chunk and its pair weights.
-    struct GroupBuffer {
-      std::vector<AsId> attackers;
-      std::vector<std::uint64_t> weights;
-    };
-    std::vector<GroupBuffer> group_buffers(workers);
 
-    // One sweep-context token per active cell: all pairs of a cell share
-    // the trial graph, deployment and config, so their per-destination
-    // baselines are mutually reusable — and never across cells.
-    std::vector<std::uint64_t> cell_tokens(num_active);
-    for (auto& token : cell_tokens) token = next_sweep_context();
-
-    // Per-cell completion machinery for incremental checkpointing: a
-    // cell's units count down `cell_remaining`; the unit that brings it
-    // to zero — necessarily after every other unit of the cell succeeded,
-    // since failing units never decrement — merges the per-worker
-    // partials in worker order (bit-for-bit deterministic), installs the
-    // row into the cache immediately, and resolves the cell's emitter
-    // slot. A SIGKILL therefore loses only in-flight cells. `cell_failed`
-    // marks cells whose trial prep failed, so their trivially-completing
-    // units cannot install a garbage row.
-    std::vector<std::atomic<std::size_t>> cell_remaining(num_active);
-    std::vector<std::atomic<bool>> cell_failed(num_active);
-    for (std::size_t k = 0; k < num_active; ++k) {
-      cell_remaining[k].store(cell_units(k), std::memory_order_relaxed);
-      cell_failed[k].store(false, std::memory_order_relaxed);
-    }
-
-    // Readiness handshake: pair units of a not-yet-prepared trial block
-    // on ready_cv rather than spinning (this box may oversubscribe
-    // cores). In strict mode any throwing unit raises `abort` and
-    // notifies, so no waiter outlives the batch and the executor rethrows
-    // the first error; in isolation mode a failed prep marks its trial
-    // `failed` instead, so only that trial's waiters wake and give up
-    // while everything else keeps running.
-    std::mutex ready_mutex;
-    std::condition_variable ready_cv;
-    std::atomic<bool> abort{false};
-
-    /// Marks one unit of cell k complete; the last one merges, installs
-    /// and emits.
-    const auto finish_unit = [&](std::size_t k) {
-      if (cell_remaining[k].fetch_sub(1, std::memory_order_acq_rel) != 1) {
+    // A cell's units count down its `remaining`; the unit that brings it to
+    // zero — necessarily after every other unit of the cell succeeded,
+    // since failing units never count down — merges the per-worker
+    // partials in worker order (bit-for-bit deterministic, and identical
+    // to analyze_sweep), installs the row into the cache immediately, and
+    // resolves the cell's emitter slot. A SIGKILL therefore loses only
+    // in-flight cells.
+    const auto sweep = [&](std::size_t worker, std::size_t i) {
+      const SweepUnit& u = units[i];
+      const ActiveCell& c = cells[u.sweep];
+      const std::size_t cell = wave_cells[c.slot];
+      // Deterministic fault injection, keyed by the cell's stable
+      // fingerprint: every unit of a doomed cell throws, on every worker
+      // count, with or without a cache — so a faulted run fails the exact
+      // same cells everywhere.
+      injector.maybe_throw(FaultSite::kAnalysisUnit, cell_fps[cell],
+                           "analysis unit of trial " +
+                               std::to_string(cell / num_specs) + " spec " +
+                               std::to_string(cell % num_specs));
+      const TrialState& st = states[c.trial];
+      const ResolvedExperiment& re = st.resolved[cell % num_specs];
+      accumulate_unit_into(st.topo.graph, c.plan, u, re.cfg, *re.deployment,
+                           exec.workspace(worker), c.token,
+                           accs[worker][u.sweep]);
+      if (remaining[u.sweep].fetch_sub(1, std::memory_order_acq_rel) != 1) {
         return;
       }
-      if (cell_failed[k].load(std::memory_order_acquire)) return;
-      const std::size_t cell = wave_cells[active_slots[k]];
-      ExperimentRow row =
-          states[cell / num_specs].resolved[cell % num_specs].header;
-      // Merge per-worker integer partials in worker order — bit-for-bit
-      // identical for any worker count, and identical to analyze_sweep.
-      for (std::size_t w = 0; w < workers; ++w) row.stats += accs[w][k];
+      ExperimentRow row = re.header;
+      for (std::size_t w = 0; w < workers; ++w) row.stats += accs[w][u.sweep];
       if (cache != nullptr) {
         // A failed install (full disk, injected store fault) must not
         // discard the result — the engine work is done. Count it and move
@@ -547,164 +514,22 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
           store_failures.fetch_add(1, std::memory_order_relaxed);
         }
       }
-      resolve_slot(active_slots[k], make_trial_row(cell, std::move(row)));
+      resolve_slot(c.slot, make_trial_row(cell, std::move(row)));
     };
-
-    const auto task = [&](std::size_t worker, std::size_t unit) {
-      try {
-        if (unit < num_prep) {
-          const std::size_t trial = wave_trials[unit];
-          TrialState& st = states[trial];
-          st.topo = topology::generate_trial(campaign.topology, campaign.seed,
-                                             trial);
-          st.tiers = st.topo.classify();
-          st.resolver = std::make_unique<ExperimentResolver>(
-              st.topo.graph, st.tiers, st.topo.sample_salt);
-          // Resolve only the specs this trial still runs: cached cells
-          // never read their ResolvedExperiment slot, so a placeholder
-          // suffices and a partially-warm trial skips the dead
-          // rollout/sampling work. Specs an adaptive campaign already
-          // stopped are not even part of this wave.
-          st.resolved.resize(num_specs);
-          for (std::size_t s = 0; s < num_specs; ++s) {
-            if (active_of_cell[trial * num_specs + s] != kNotActive) {
-              st.resolved[s] = st.resolver->resolve(campaign.experiments[s]);
-            }
-          }
-          {
-            const std::lock_guard<std::mutex> lock(ready_mutex);
-            st.ready.store(true, std::memory_order_release);
-          }
-          ready_cv.notify_all();
-          return;
-        }
-        const std::size_t k = static_cast<std::size_t>(
-            std::upper_bound(cell_end.begin(), cell_end.end(), unit) -
-            cell_end.begin());
-        const std::size_t cell = wave_cells[active_slots[k]];
-        const std::size_t trial = cell / num_specs;
-        TrialState& st = states[trial];
-        if (!st.ready.load(std::memory_order_acquire) &&
-            !st.failed.load(std::memory_order_acquire)) {
-          std::unique_lock<std::mutex> lock(ready_mutex);
-          ready_cv.wait(lock, [&] {
-            return st.ready.load(std::memory_order_acquire) ||
-                   st.failed.load(std::memory_order_acquire) ||
-                   abort.load(std::memory_order_relaxed);
-          });
-        }
-        if (abort.load(std::memory_order_relaxed)) return;
-        if (st.failed.load(std::memory_order_acquire)) {
-          // Isolation mode: the whole trial is failed by its prep — mark
-          // the cell so the countdown cannot install a row, then count
-          // this unit done (it has nothing to compute).
-          cell_failed[k].store(true, std::memory_order_release);
-          finish_unit(k);
-          return;
-        }
-        // Deterministic fault injection, keyed by the cell's stable
-        // fingerprint: every unit of a doomed cell throws, on every
-        // worker count, with or without a cache — so a faulted run fails
-        // the exact same cells everywhere.
-        injector.maybe_throw(FaultSite::kAnalysisUnit, cell_fps[cell],
-                             "analysis unit of trial " +
-                                 std::to_string(trial) + " spec " +
-                                 std::to_string(cell % num_specs));
-        const std::size_t cell_begin = k == 0 ? num_prep : cell_end[k - 1];
-        const std::size_t slot = unit - cell_begin;
-        const ResolvedExperiment& re = st.resolved[cell % num_specs];
-        // Destination-major slot order: consecutive units of a cell share
-        // a destination, so chunked workers hit the workspace's
-        // per-destination cache.
-        const std::size_t chunks = num_lane_chunks(
-            campaign.experiments[cell % num_specs].num_attackers);
-        const std::size_t d = slot / chunks;
-        if (d < re.destinations.size()) {
-          const AsId dest = re.destinations[d];
-          GroupBuffer& buf = group_buffers[worker];
-          buf.attackers.clear();
-          for (const AsId m : re.attackers) {
-            if (m != dest) buf.attackers.push_back(m);
-          }
-          const auto [begin, end] =
-              lane_chunk(buf.attackers.size(), chunks, slot % chunks);
-          buf.weights.clear();
-          for (std::size_t i = begin; i < end; ++i) {
-            buf.weights.push_back(
-                pair_weight(re.traffic, buf.attackers[i], dest));
-          }
-          accumulate_group_into(
-              st.topo.graph, dest,
-              std::span<const AsId>(buf.attackers).subspan(begin, end - begin),
-              buf.weights, re.cfg, *re.deployment, exec.workspace(worker),
-              cell_tokens[k], accs[worker][k]);
-        }
-        finish_unit(k);
-      } catch (...) {
-        // The store must happen under the mutex, or a waiter between its
-        // predicate check and its sleep would miss this (final) wakeup.
-        {
-          const std::lock_guard<std::mutex> lock(ready_mutex);
-          if (strict) {
-            abort.store(true, std::memory_order_relaxed);
-          } else if (unit < num_prep) {
-            states[wave_trials[unit]].failed.store(true,
-                                                   std::memory_order_release);
-          }
-        }
-        ready_cv.notify_all();
-        throw;
-      }
-    };
-
-    std::vector<UnitFailure> unit_failures;
-    if (strict) {
-      exec.run(total_units, task, workers);
-    } else {
-      unit_failures = exec.run_isolated(total_units, task, workers);
+    for (const auto& f : run_phase(units.size(), sweep)) {
+      fail_slot(cells[units[f.index].sweep].slot, f.message);
     }
 
-    // Map unit failures onto cells: a prep failure fails every active
-    // cell of its trial; a pair-unit failure fails its own cell. The
-    // first failure (lowest unit index — run_isolated returns them
-    // sorted) wins the cell's error message.
-    std::vector<std::string> cell_error(num_active);
-    std::vector<std::string> trial_error(last_trial - first_trial);
-    for (const auto& f : unit_failures) {
-      if (f.index < num_prep) {
-        auto& err = trial_error[wave_trials[f.index] - first_trial];
-        if (err.empty()) err = "trial preparation failed: " + f.message;
-      } else {
-        const std::size_t k = static_cast<std::size_t>(
-            std::upper_bound(cell_end.begin(), cell_end.end(), f.index) -
-            cell_end.begin());
-        if (cell_error[k].empty()) cell_error[k] = f.message;
-      }
-    }
-
-    // Wave-end flush: every slot still pending is a failed cell (its
-    // units never all finished, or its trial prep threw). Resolving them
-    // in slot order keeps sink emission ordered; the executor barrier
-    // above means no worker touches the emitter concurrently anymore.
-    for (std::size_t i = 0; i < num_slots; ++i) {
-      if (slot_state[i] != 0) continue;
-      const std::size_t cell = wave_cells[i];
-      const std::size_t k = active_of_cell[cell];
-      std::string error =
-          !cell_error[k].empty()
-              ? cell_error[k]
-              : trial_error[cell / num_specs - first_trial];
-      if (error.empty()) error = "cell did not complete";
-      result.failed_cells.push_back(
-          {cell / num_specs, cell % num_specs, std::move(error)});
-      resolve_slot(i, std::nullopt);
-    }
-
-    // Append the wave's rows in emission order — result order and sink
-    // order are the same by construction.
+    // Every slot is resolved now. Append the wave's rows and failures in
+    // slot order — result order and sink order are the same by
+    // construction.
     for (std::size_t i = 0; i < num_slots; ++i) {
       if (slot_state[i] == 1) {
         result.trial_rows.push_back(std::move(slot_rows[i]));
+      } else {
+        result.failed_cells.push_back({wave_cells[i] / num_specs,
+                                       wave_cells[i] % num_specs,
+                                       std::move(slot_errors[i])});
       }
     }
   };

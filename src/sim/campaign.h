@@ -6,17 +6,17 @@
 // pure data: a topology::topology_registry() name, a trial count, a master
 // seed, and the ExperimentSpec list to evaluate on every trial's topology.
 //
-// Scheduling: run_campaign submits trials in waves. Each wave flattens its
-// trials' topology prep plus every (trial, spec, pair) work item — into a
-// single BatchExecutor submission. Short specs no longer serialize behind
-// long ones at per-spec run() barriers, and topology generation for later
-// trials overlaps pair analysis of earlier ones: prep units occupy the
-// lowest indices, so workers draining pair chunks of trial t while another
-// worker is still generating trial t+1 is the steady state, not a special
-// case. A fixed campaign (no target_stderr, no wave_size) is one wave —
-// exactly the old single-submission schedule. With target_stderr set the
-// wave barriers become sequential stopping points: after each wave every
-// still-running spec folds the wave's per-trial metric values into its
+// Scheduling: run_campaign runs trials in waves, each wave as two
+// BatchExecutor submissions. Phase 1 has one unit per trial that still has
+// uncached cells: it generates and classifies the topology, resolves the
+// trial's scheduled specs and builds each cell's SweepPlan. Phase 2 runs
+// every prepared cell's sweep units — built by append_sweep_units, the
+// unit list analyze_sweep runs — in one submission, so short specs never
+// serialize behind long ones at per-spec barriers. A wave's trial state
+// is released when the wave ends. A fixed campaign (no target_stderr, no
+// wave_size) is one wave. With target_stderr set the wave barriers
+// become sequential stopping points: after each wave every still-running
+// spec folds the wave's per-trial metric values into its
 // running util::Accumulators (Accumulator::merge, in wave order), and a
 // spec whose every metric has std_error() <= target_stderr stops
 // scheduling further trials — "as few trials as the precision target
@@ -37,7 +37,9 @@
 // killed, or fault-injected run followed by a re-run with the same
 // cache_dir converges to rows byte-identical to an undisturbed run.
 // Sharded execution (shard i of N by cache-key fingerprint) and
-// merge-only assembly build distributed campaigns on the same cache.
+// merge-only assembly build distributed campaigns on the same cache; a
+// merge-only wave resolves every cache miss as a failed cell and
+// submits nothing.
 #ifndef SBGP_SIM_CAMPAIGN_H
 #define SBGP_SIM_CAMPAIGN_H
 
@@ -273,8 +275,8 @@ struct CampaignResult {
 /// the campaign.
 using RowSink = std::function<void(const CampaignTrialRow&)>;
 
-/// Runs the whole campaign in wave-sized BatchExecutor submissions (see
-/// file comment; a fixed campaign is one wave), consulting the result
+/// Runs the whole campaign in waves of two BatchExecutor submissions each
+/// (see file comment; a fixed campaign is one wave), consulting the result
 /// cache first when cache_dir is set and streaming completed rows through
 /// `sink` when one is given. Unit failures are isolated per (trial, spec)
 /// cell unless campaign.strict is set (then the first failure is

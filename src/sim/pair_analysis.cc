@@ -234,6 +234,33 @@ void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
                         ws, sweep_context, acc);
 }
 
+void append_sweep_units(const SweepPlan& plan, std::size_t sweep,
+                        std::vector<SweepUnit>& units) {
+  for (std::size_t gi = 0; gi < plan.groups.size(); ++gi) {
+    const std::size_t count = plan.groups[gi].attackers.size();
+    const std::size_t chunks =
+        (count + routing::kLaneWidth - 1) / routing::kLaneWidth;
+    for (std::size_t j = 0; j < chunks; ++j) {
+      units.push_back(
+          {sweep, gi, count * j / chunks, count * (j + 1) / chunks});
+    }
+  }
+}
+
+void accumulate_unit_into(const AsGraph& g, const SweepPlan& plan,
+                          const SweepUnit& unit, const PairAnalysisConfig& cfg,
+                          const Deployment& dep, routing::EngineWorkspace& ws,
+                          std::uint64_t sweep_context, PairStats& acc) {
+  const DestinationGroup& grp = plan.groups[unit.group];
+  const std::size_t len = unit.end - unit.begin;
+  const std::span<const std::uint64_t> weights(grp.weights);
+  accumulate_group_into(
+      g, grp.destination,
+      std::span<const AsId>(grp.attackers).subspan(unit.begin, len),
+      weights.empty() ? weights : weights.subspan(unit.begin, len), cfg, dep,
+      ws, sweep_context, acc);
+}
+
 SweepResult analyze_sweep(const AsGraph& g, const SweepPlan& plan,
                           const PairAnalysisConfig& cfg, const Deployment& dep,
                           const RunnerOptions& opts) {
@@ -258,23 +285,8 @@ SweepResult analyze_sweep(const AsGraph& g, const SweepPlan& plan,
     throw std::invalid_argument("analyze_sweep: plan has no pairs");
   }
 
-  // Scheduling unit: one destination with a chunk of at most kLaneWidth of
-  // its attackers — one lane pass — split evenly so the chunks of a group
-  // cost alike.
-  struct Unit {
-    std::size_t group;
-    std::size_t begin;
-    std::size_t end;
-  };
-  std::vector<Unit> units;
-  for (std::size_t gi = 0; gi < plan.groups.size(); ++gi) {
-    const std::size_t count = plan.groups[gi].attackers.size();
-    const std::size_t chunks = num_lane_chunks(count);
-    for (std::size_t j = 0; j < chunks; ++j) {
-      const auto [begin, end] = lane_chunk(count, chunks, j);
-      units.push_back({gi, begin, end});
-    }
-  }
+  std::vector<SweepUnit> units;
+  append_sweep_units(plan, 0, units);
 
   BatchExecutor& exec =
       opts.executor != nullptr ? *opts.executor : BatchExecutor::shared();
@@ -289,17 +301,9 @@ SweepResult analyze_sweep(const AsGraph& g, const SweepPlan& plan,
   exec.run(
       units.size(),
       [&](std::size_t worker, std::size_t i) {
-        const Unit& u = units[i];
-        const DestinationGroup& grp = plan.groups[u.group];
-        routing::EngineWorkspace& ws = exec.workspace(worker);
-        const std::span<const AsId> attackers(grp.attackers);
-        const std::span<const std::uint64_t> weights(grp.weights);
-        accumulate_group_into(
-            g, grp.destination,
-            attackers.subspan(u.begin, u.end - u.begin),
-            weights.empty() ? weights
-                            : weights.subspan(u.begin, u.end - u.begin),
-            cfg, dep, ws, token, accs[worker][u.group]);
+        const SweepUnit& u = units[i];
+        accumulate_unit_into(g, plan, u, cfg, dep, exec.workspace(worker),
+                             token, accs[worker][u.group]);
       },
       workers);
 

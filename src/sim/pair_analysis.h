@@ -28,11 +28,12 @@
 // lane pass. Each analysis is one branch-free loop over those bytes.
 //
 // Scheduling is destination-grouped: a SweepPlan organizes the pairs as
-// DestinationGroup units, and analyze_sweep and run_campaign both hand
-// workers the same unit — one destination with a chunk of at most
-// routing::kLaneWidth of its attackers, split evenly (lane_chunk) — to
-// accumulate_group_into. The normal outcome is cached in the workspace's
-// dest_baseline slot, so chunks of one destination on one worker share it.
+// DestinationGroup units, and analyze_sweep and run_campaign both split
+// plans with append_sweep_units and hand workers the same SweepUnit — one
+// destination with a chunk of at most routing::kLaneWidth of its
+// attackers, split evenly — through accumulate_unit_into.
+// The normal outcome is cached in the workspace's dest_baseline slot, so
+// chunks of one destination on one worker share it.
 //
 // Determinism contract: PairStats is all integers, so per-worker partials
 // merge to bit-for-bit identical totals for any thread count (see
@@ -44,7 +45,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "routing/lanes.h"
@@ -231,19 +231,6 @@ struct SweepPlan {
 /// slot; analyze_sweep and the campaign scheduler do this internally.
 [[nodiscard]] std::uint64_t next_sweep_context();
 
-/// Lane-pass chunks a group of `count` attackers splits into.
-[[nodiscard]] constexpr std::size_t num_lane_chunks(std::size_t count) {
-  return (count + routing::kLaneWidth - 1) / routing::kLaneWidth;
-}
-
-/// Attackers [first, second) of chunk `j` when a group of `count`
-/// attackers splits evenly into `chunks` chunks. With chunks >=
-/// num_lane_chunks(count) every chunk holds at most routing::kLaneWidth.
-[[nodiscard]] constexpr std::pair<std::size_t, std::size_t> lane_chunk(
-    std::size_t count, std::size_t chunks, std::size_t j) {
-  return {count * j / chunks, count * (j + 1) / chunks};
-}
-
 /// Runs every selected analysis for each pair (attackers[k] on d), computing
 /// the group's outcomes into `ws` — the normal outcome once, every attacked
 /// state the lane pass admits in one pass — and adds the results to `acc`.
@@ -297,6 +284,31 @@ inline void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
   accumulate_pair_into(g, d, m, cfg, dep, ws, 0, 1, acc);
 }
 
+/// The scheduling unit of a destination-grouped sweep: attackers
+/// [begin, end) of group `group` — one lane pass. `sweep` tags the plan
+/// the unit belongs to when one submission runs several (a campaign wave
+/// runs one plan per cell); analyze_sweep tags its plan 0.
+struct SweepUnit {
+  std::size_t sweep = 0;
+  std::size_t group = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// Appends `plan`'s units, tagged `sweep`, to `units`: each group split
+/// into as few chunks of at most routing::kLaneWidth attackers as it
+/// needs, evenly so the chunks of a group cost alike, in group order.
+/// Attacker-less groups add no unit.
+void append_sweep_units(const SweepPlan& plan, std::size_t sweep,
+                        std::vector<SweepUnit>& units);
+
+/// Runs one unit of `plan`: accumulate_group_into over the unit's
+/// attackers and their weights (if the group has any).
+void accumulate_unit_into(const AsGraph& g, const SweepPlan& plan,
+                          const SweepUnit& unit, const PairAnalysisConfig& cfg,
+                          const Deployment& dep, routing::EngineWorkspace& ws,
+                          std::uint64_t sweep_context, PairStats& acc);
+
 /// Worker cap / executor choice for a batch call (shared by the fused
 /// pipeline, the experiment suite and the campaign driver).
 struct RunnerOptions {
@@ -317,10 +329,9 @@ struct SweepResult {
   std::vector<PairStats> per_destination;
 };
 
-/// Fused destination-grouped sweep on a BatchExecutor: schedules chunks of
-/// at most routing::kLaneWidth of one destination's attackers (lane_chunk)
-/// through accumulate_group_into. Results are bit-for-bit independent of
-/// thread count, chunking and group order.
+/// Fused destination-grouped sweep on a BatchExecutor: runs the plan's
+/// append_sweep_units units through accumulate_unit_into. Results are
+/// bit-for-bit independent of thread count, chunking and group order.
 /// Throws std::invalid_argument on an empty plan, a pair-less plan, or a
 /// group whose attackers contain its own destination.
 [[nodiscard]] SweepResult analyze_sweep(const AsGraph& g,

@@ -14,6 +14,7 @@
 #include "sim/campaign.h"
 #include "sim/campaign_io.h"
 #include "sim/experiment.h"
+#include "sim/traffic.h"
 #include "topology/registry.h"
 
 namespace sbgp::sim {
@@ -80,6 +81,58 @@ TEST(Campaign, TrialRowsMatchIndependentSuiteRuns) {
       EXPECT_EQ(tr.topology_seed,
                 topology::trial_seed(campaign.seed, campaign.topology, t));
       EXPECT_EQ(tr.row, suite_rows[s]) << "trial " << t << " spec " << s;
+    }
+  }
+}
+
+TEST(Campaign, MultiChunkCellsMatchIndependentSuiteRuns) {
+  // Cells whose destination groups split into several lane chunks: 40 x 40
+  // weighted pairs, and 33 attackers (one more than a lane pass holds).
+  // The sample seed makes a destination coincide with an attacker in every
+  // trial, so some group loses that attacker.
+  CampaignSpec campaign;
+  campaign.topology = "tiny-500";
+  campaign.trials = 2;
+  campaign.seed = 99;
+  ExperimentSpec wide;
+  wide.scenario = "t1-t2";
+  wide.model = SecurityModel::kSecurityThird;
+  wide.analyses = AnalysisSet::all();
+  wide.num_attackers = 40;
+  wide.num_destinations = 40;
+  wide.sample_seed = 7;
+  wide.traffic = parse_traffic_model("gravity,seed=7");
+  campaign.experiments.push_back(wide);
+  ExperimentSpec odd;
+  odd.scenario = "t1-stubs";
+  odd.model = SecurityModel::kSecuritySecond;
+  odd.analyses = Analysis::kHappiness | Analysis::kPartitions;
+  odd.num_attackers = 33;
+  odd.num_destinations = 5;
+  campaign.experiments.push_back(odd);
+
+  std::vector<ExperimentRow> expected;
+  for (std::size_t t = 0; t < campaign.trials; ++t) {
+    const auto topo =
+        topology::generate_trial(campaign.topology, campaign.seed, t);
+    const auto rows =
+        run_experiment_suite(topo.graph, topo.classify(), campaign.experiments);
+    EXPECT_EQ(rows[0].num_attackers, 40u);
+    EXPECT_LT(rows[0].stats.pairs, 40u * 40u) << "trial " << t;
+    EXPECT_EQ(rows[1].num_attackers, 33u);
+    expected.insert(expected.end(), rows.begin(), rows.end());
+  }
+
+  BatchExecutor executor(4);
+  for (const std::size_t threads : {1u, 4u}) {
+    RunnerOptions opts;
+    opts.threads = threads;
+    opts.executor = &executor;
+    const CampaignResult result = run_campaign(campaign, opts);
+    ASSERT_EQ(result.trial_rows.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(result.trial_rows[i].row, expected[i])
+          << "row " << i << " at " << threads << " worker(s)";
     }
   }
 }
@@ -449,9 +502,9 @@ TEST(Campaign, BadRolloutStepSurfacesFromTrialPrepInStrictMode) {
 }
 
 TEST(Campaign, BadRolloutStepFailsEveryCellOfItsTrialWhenIsolated) {
-  // Default (isolation) mode: the prep failure of the only trial takes
-  // down all of its cells — pair units must not hang on the readiness
-  // latch — and comes back structured instead of thrown.
+  // Default (isolation) mode: the prep failure of the only trial fails all
+  // of its cells — none of them reaches the sweep phase — and comes back
+  // structured instead of thrown.
   CampaignSpec campaign = small_campaign(1);
   campaign.experiments[0].rollout_step = 99;
   BatchExecutor executor(4);
