@@ -624,61 +624,39 @@ std::vector<CampaignTrialRow> read_trial_rows_csv(std::istream& is) {
   return rows;
 }
 
-TrialRowJsonAppender::TrialRowJsonAppender(std::ostream& os, bool weighted)
-    : os_(&os), weighted_(weighted) {
-  *os_ << "[\n";
-}
-
-void TrialRowJsonAppender::append(const CampaignTrialRow& r) {
-  if (!weighted_ && !is_uniform_weight(r)) {
-    throw std::logic_error(
-        "TrialRowJsonAppender: non-uniform-weight row appended to a "
-        "legacy-layout file; construct the appender with weighted = true");
-  }
-  // The previous element is held back until now, when a comma is known to
-  // follow it — the writer's exact no-trailing-comma byte layout, built
-  // incrementally.
-  if (any_) *os_ << pending_ << ",\n";
-  std::ostringstream element;
-  element << "  {\"topology\": " << json_escape(r.topology)
-          << ", \"trial\": " << r.trial
-          << ", \"topology_seed\": " << r.topology_seed
-          << ", \"spec\": " << r.spec_index
-          << ", \"label\": " << json_escape(r.row.label)
-          << ", \"step_label\": " << json_escape(r.row.step_label)
-          << ", \"model\": " << json_escape(to_string(r.row.model))
-          << ", \"hysteresis\": " << (r.row.hysteresis ? "true" : "false");
-  const auto slots = counter_slots(r);
-  for (std::size_t c = 0; c < slots.size(); ++c) {
-    element << ", \"" << kCounterNames[c] << "\": " << *slots[c];
-  }
-  if (weighted_) {
-    const auto w_slots = weighted_counter_slots(r);
-    const auto w_names = weighted_column_names();
-    for (std::size_t c = 0; c < w_slots.size(); ++c) {
-      element << ", \"" << w_names[c] << "\": " << *w_slots[c];
-    }
-  }
-  element << '}';
-  pending_ = element.str();
-  any_ = true;
-}
-
-void TrialRowJsonAppender::finish() {
-  if (finished_) {
-    throw std::logic_error("TrialRowJsonAppender: finish() called twice");
-  }
-  finished_ = true;
-  if (any_) *os_ << pending_ << '\n';
-  *os_ << "]\n";
-}
-
 void write_trial_rows_json(std::ostream& os,
                            const std::vector<CampaignTrialRow>& rows,
                            bool weighted) {
-  TrialRowJsonAppender appender(os, weighted);
-  for (const auto& r : rows) appender.append(r);
-  appender.finish();
+  os << "[\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const CampaignTrialRow& r = rows[i];
+    if (!weighted && !is_uniform_weight(r)) {
+      throw std::logic_error(
+          "write_trial_rows_json: non-uniform-weight row in a legacy-layout "
+          "file; write with weighted = true");
+    }
+    os << "  {\"topology\": " << json_escape(r.topology)
+       << ", \"trial\": " << r.trial
+       << ", \"topology_seed\": " << r.topology_seed
+       << ", \"spec\": " << r.spec_index
+       << ", \"label\": " << json_escape(r.row.label)
+       << ", \"step_label\": " << json_escape(r.row.step_label)
+       << ", \"model\": " << json_escape(to_string(r.row.model))
+       << ", \"hysteresis\": " << (r.row.hysteresis ? "true" : "false");
+    const auto slots = counter_slots(r);
+    for (std::size_t c = 0; c < slots.size(); ++c) {
+      os << ", \"" << kCounterNames[c] << "\": " << *slots[c];
+    }
+    if (weighted) {
+      const auto w_slots = weighted_counter_slots(r);
+      const auto w_names = weighted_column_names();
+      for (std::size_t c = 0; c < w_slots.size(); ++c) {
+        os << ", \"" << w_names[c] << "\": " << *w_slots[c];
+      }
+    }
+    os << (i + 1 < rows.size() ? "},\n" : "}\n");
+  }
+  os << "]\n";
 }
 
 void write_trial_rows_json(std::ostream& os,

@@ -64,6 +64,9 @@ void write_trial_rows_csv(std::ostream& os,
 [[nodiscard]] std::vector<CampaignTrialRow> read_trial_rows_csv(
     std::istream& is);
 
+/// JSON counterparts of the CSV writers: an array with one object per row,
+/// keys in the CSV column order. The explicit-layout overload throws
+/// std::logic_error if a non-uniform row meets weighted == false.
 void write_trial_rows_json(std::ostream& os,
                            const std::vector<CampaignTrialRow>& rows);
 void write_trial_rows_json(std::ostream& os,
@@ -92,28 +95,6 @@ class TrialRowCsvAppender {
  private:
   std::ostream* os_;
   bool weighted_;
-};
-
-/// Streaming per-trial JSON sink: "[" at construction, one array element
-/// per append(), "]" on finish() — which must be called exactly once after
-/// the last row (the destructor does NOT close the array, so a crashed
-/// producer leaves an obviously-truncated file rather than a silently
-/// short one). Byte-identical to write_trial_rows_json over the same rows.
-class TrialRowJsonAppender {
- public:
-  /// `weighted` as in TrialRowCsvAppender: element keys are fixed per
-  /// file, and a non-uniform row in legacy mode throws std::logic_error.
-  explicit TrialRowJsonAppender(std::ostream& os, bool weighted = false);
-  void append(const CampaignTrialRow& row);
-  void finish();
-
- private:
-  std::ostream* os_;
-  bool weighted_ = false;
-  std::string pending_;  // previous element, held back until we know
-                         // whether a comma or the closing bracket follows
-  bool any_ = false;
-  bool finished_ = false;
 };
 
 // --- aggregated rows -------------------------------------------------------
