@@ -44,11 +44,14 @@
 // Exit status: 0 clean, 1 round-trip or --expect-cached failure, 2 usage
 // or configuration error, 3 completed with failed or missing cells.
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "deployment/scenario.h"
@@ -56,9 +59,21 @@
 #include "sim/campaign_io.h"
 #include "sim/traffic.h"
 #include "topology/registry.h"
+#include "util/csv.h"
 #include "util/table.h"
 
 namespace {
+
+/// A count argument: ASCII digits only (no sign, no whitespace), between 1
+/// and 1e9. nullopt otherwise.
+std::optional<std::size_t> parse_count(const std::string& text) {
+  try {
+    const std::uint64_t v = sbgp::util::parse_u64(text);
+    if (v >= 1 && v <= 1'000'000'000u) return static_cast<std::size_t>(v);
+  } catch (const std::invalid_argument&) {
+  }
+  return std::nullopt;
+}
 
 void print_usage(std::ostream& os) {
   os << "usage: example_run_campaign [topology] [trials] [samples]"
@@ -113,6 +128,10 @@ void print_usage(std::ostream& os) {
         "                    'gravity[,seed=S][,max-mass=M][,scale=K]';\n"
         "                    non-uniform models add the weighted (w_)\n"
         "                    columns to the per-trial outputs\n"
+        "\n"
+        "trials, samples, --max-trials and --wave take plain decimal\n"
+        "integers from 1 to 1e9; I and N of --shard are plain decimal too.\n"
+        "No sign, space or other character is accepted.\n"
         "\n"
         "exit status: 0 clean, 1 round-trip/--expect-cached failure,\n"
         "             2 usage error, 3 failed or missing cells\n"
@@ -202,30 +221,27 @@ int run(int argc, char** argv) {
         }
         campaign.target_stderr = target;
       } else if (arg == "--max-trials" || arg == "--wave") {
-        char* end = nullptr;
-        errno = 0;
-        const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0' || v == 0 ||
-            errno == ERANGE || v > 1'000'000'000ul) {
+        const auto v = parse_count(value);
+        if (!v.has_value()) {
           std::cerr << "error: " << arg
                     << " wants a positive integer, got '" << value << "'\n\n";
           print_usage(std::cerr);
           return 2;
         }
-        (arg == "--max-trials" ? campaign.max_trials : campaign.wave_size) = v;
+        (arg == "--max-trials" ? campaign.max_trials : campaign.wave_size) = *v;
       } else {
         const std::size_t slash = value.find('/');
-        char* end = nullptr;
-        errno = 0;
-        const unsigned long idx =
-            std::strtoul(value.c_str(), &end, 10);
-        const bool idx_ok = slash != std::string::npos && slash > 0 &&
-                            end == value.c_str() + slash && errno == 0;
-        errno = 0;
-        const unsigned long cnt =
-            idx_ok ? std::strtoul(value.c_str() + slash + 1, &end, 10) : 0;
-        if (!idx_ok || end != value.c_str() + value.size() || errno == ERANGE ||
-            cnt == 0 || idx >= cnt) {
+        std::uint64_t idx = 0;
+        std::uint64_t cnt = 0;
+        if (slash != std::string::npos) {
+          try {
+            idx = util::parse_u64(std::string_view(value).substr(0, slash));
+            cnt = util::parse_u64(std::string_view(value).substr(slash + 1));
+          } catch (const std::invalid_argument&) {
+            cnt = 0;  // reported below
+          }
+        }
+        if (cnt == 0 || idx >= cnt) {
           std::cerr << "error: --shard wants I/N with 0 <= I < N, got '"
                     << value << "'\n\n";
           print_usage(std::cerr);
@@ -248,29 +264,26 @@ int run(int argc, char** argv) {
     print_usage(std::cerr);
     return 2;
   }
-  const auto parse_count = [&](const std::string& arg, const char* what,
-                               std::size_t& out) {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long v = std::strtoul(arg.c_str(), &end, 10);
-    if (end == arg.c_str() || *end != '\0' || v == 0 || errno == ERANGE ||
-        v > 1'000'000'000ul) {
+  const auto positional_count = [&](const std::string& arg, const char* what,
+                                    std::size_t& out) {
+    const auto v = parse_count(arg);
+    if (!v.has_value()) {
       std::cerr << "error: " << what
                 << " must be a positive integer (at most 1e9), got '" << arg
                 << "'\n\n";
       print_usage(std::cerr);
       return false;
     }
-    out = v;
+    out = *v;
     return true;
   };
   if (!positional.empty()) campaign.topology = positional[0];
   if (positional.size() > 1 &&
-      !parse_count(positional[1], "trials", campaign.trials)) {
+      !positional_count(positional[1], "trials", campaign.trials)) {
     return 2;
   }
   if (positional.size() > 2 &&
-      !parse_count(positional[2], "samples", samples)) {
+      !positional_count(positional[2], "samples", samples)) {
     return 2;
   }
   const std::string csv_path = positional.size() > 3 ? positional[3] : "";

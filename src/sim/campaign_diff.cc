@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -55,6 +56,13 @@ DiffReport diff_trial_rows(const std::vector<CampaignTrialRow>& baseline,
 DiffReport diff_campaign_rows(const std::vector<CampaignRow>& baseline,
                               const std::vector<CampaignRow>& candidate,
                               const DiffOptions& opts) {
+  // Written so NaN fails too; an infinite tolerance would pass everything.
+  for (const double tol : {opts.abs_tol, opts.stderr_scale}) {
+    if (!(std::isfinite(tol) && tol >= 0.0)) {
+      throw std::invalid_argument(
+          "diff_campaign_rows: tolerances must be finite and >= 0");
+    }
+  }
   DiffReport report;
   report.baseline_rows = baseline.size();
   report.candidate_rows = candidate.size();

@@ -74,7 +74,8 @@ struct DiffReport {
 
 /// Tolerance-aware comparison of two aggregated row sets: identity columns
 /// (label, topology, spec, trials) exactly, every metric summary value per
-/// DiffOptions.
+/// DiffOptions. Throws std::invalid_argument when a tolerance is negative,
+/// infinite or NaN.
 [[nodiscard]] DiffReport diff_campaign_rows(
     const std::vector<CampaignRow>& baseline,
     const std::vector<CampaignRow>& candidate, const DiffOptions& opts = {});

@@ -3,7 +3,9 @@
 // formatting the CI gate prints on divergence.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -127,6 +129,31 @@ TEST(CampaignDiff, AbsToleranceAndStderrScaleAdmitSmallDrift) {
   EXPECT_TRUE(diff_campaign_rows(baseline, candidate, by_stderr).clean());
   by_stderr.stderr_scale = 0.5;
   EXPECT_FALSE(diff_campaign_rows(baseline, candidate, by_stderr).clean());
+}
+
+TEST(CampaignDiff, RejectsTolerancesThatDisableTheGate) {
+  const auto baseline = sample_campaign_rows();
+  auto candidate = baseline;
+  candidate[0].metrics[0].mean = 0.25;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, nan, -1.0}) {
+    DiffOptions abs_tol;
+    abs_tol.abs_tol = bad;
+    EXPECT_THROW((void)diff_campaign_rows(baseline, candidate, abs_tol),
+                 std::invalid_argument)
+        << "abs_tol " << bad;
+    DiffOptions by_stderr;
+    by_stderr.stderr_scale = bad;
+    EXPECT_THROW((void)diff_campaign_rows(baseline, candidate, by_stderr),
+                 std::invalid_argument)
+        << "stderr_scale " << bad;
+  }
+  // The largest finite tolerances are still legal.
+  DiffOptions huge;
+  huge.abs_tol = std::numeric_limits<double>::max();
+  huge.stderr_scale = std::numeric_limits<double>::max();
+  EXPECT_TRUE(diff_campaign_rows(baseline, candidate, huge).clean());
 }
 
 TEST(CampaignDiff, IdentityColumnChangesAreDivergences) {

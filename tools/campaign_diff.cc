@@ -9,7 +9,8 @@
 // content, and both files must hold the same kind. Per-trial rows (raw
 // integer counters) are compared exactly, column by column; aggregated
 // rows are compared per metric within --abs-tol plus --stderr-scale times
-// the rows' combined standard error (both default 0: exact).
+// the rows' combined standard error (both default 0: exact; each must be a
+// finite number >= 0).
 //
 // --adaptive compares an adaptive (sequentially-stopped) run against a
 // fixed baseline: realized trial counts and stopping reasons are reported
@@ -19,7 +20,7 @@
 //
 // Exit status: 0 when the sets match, 1 on any divergence (a per-metric
 // report goes to stdout), 2 on usage or I/O errors.
-#include <cstdlib>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -29,6 +30,7 @@
 
 #include "sim/campaign_diff.h"
 #include "sim/campaign_io.h"
+#include "util/csv.h"
 
 namespace {
 
@@ -43,6 +45,8 @@ void print_usage(std::ostream& os) {
         "or aggregated — detected from the content; both files must hold\n"
         "the same kind). Per-trial rows are compared exactly; aggregated\n"
         "metric summaries within abs-tol + stderr-scale * combined stderr.\n"
+        "T and S are finite decimal numbers >= 0 (default 0: exact); inf,\n"
+        "nan and out-of-range values are rejected.\n"
         "--adaptive gates an adaptive run against a fixed baseline: trial\n"
         "counts and stopping reasons become notes, only metric means are\n"
         "compared, and per-trial files are aggregated on the fly.\n"
@@ -116,11 +120,17 @@ int run(int argc, char** argv) {
         print_usage(std::cerr);
         return 2;
       }
-      char* end = nullptr;
-      const double value = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || value < 0.0) {
+      // A tolerance that cannot be represented (inf, nan, 1e999) would
+      // switch the gate off; reject it like any other malformed value.
+      double value = -1.0;
+      try {
+        value = sbgp::util::parse_double(argv[++i]);
+      } catch (const std::invalid_argument&) {
+      }
+      if (!(std::isfinite(value) && value >= 0.0)) {
         std::cerr << "campaign_diff: bad " << arg << " value '" << argv[i]
-                  << "'\n";
+                  << "' (need a finite number >= 0)\n";
+        print_usage(std::cerr);
         return 2;
       }
       (arg == "--abs-tol" ? opts.abs_tol : opts.stderr_scale) = value;
