@@ -536,8 +536,8 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
 
   // The wave loop. Fixed campaigns run [0, budget) in ceil(budget /
   // wave_stride) waves — one, by default — with every spec in every wave,
-  // so the schedule (and the emitted bytes) match the classic single
-  // submission. Adaptive campaigns drop converged specs from subsequent
+  // so the emitted bytes match a single wave's for any wave size.
+  // Adaptive campaigns drop converged specs from subsequent
   // waves until every spec stopped or the budget is spent.
   std::vector<std::size_t> running;
   running.reserve(num_specs);
