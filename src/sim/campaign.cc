@@ -22,8 +22,7 @@ namespace {
 
 /// Default trials per wave for adaptive campaigns: small enough that a
 /// quickly-converging spec stops after a handful of trials, large enough
-/// that a wave's trials prepare in parallel and its sweep units keep every
-/// worker busy.
+/// that a wave's sweep units keep every worker busy.
 constexpr std::size_t kDefaultAdaptiveWave = 4;
 
 double ratio(std::size_t num, std::size_t den) {
@@ -328,12 +327,13 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
   // Strict mode rethrows the first failure of a phase; isolation mode
   // collects every failure, sorted by unit index.
   const auto run_phase = [&](std::size_t count,
-                             const BatchExecutor::Task& task) {
+                             const BatchExecutor::Task& task,
+                             std::size_t max_workers) {
     if (campaign.strict) {
-      exec.run(count, task, workers);
+      exec.run(count, task, max_workers);
       return std::vector<UnitFailure>{};
     }
-    return exec.run_isolated(count, task, workers);
+    return exec.run_isolated(count, task, max_workers);
   };
 
   // Per-spec sequential-stopping state: the running cross-wave
@@ -434,7 +434,11 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
     // Phase 1, one unit per trial with an active cell: generate and
     // classify the topology, resolve the specs the trial still runs
     // (cached cells never read their slot) and plan each active cell's
-    // sweep. The trials' state lives until the wave ends.
+    // sweep. The trials' state lives until the wave ends. Preparation is
+    // allocation-heavy, and trials prepared side by side contend for the
+    // allocator and stack their peak memory: on a shared 4-vCPU box, the
+    // benchmark's three sweep-8k trials took longer in parallel than in
+    // sequence, at 27% more peak RSS. So it runs on one worker.
     std::vector<TrialState> states(wave_trials.size());
     const auto prepare = [&](std::size_t /*worker*/, std::size_t p) {
       TrialState& st = states[p];
@@ -454,7 +458,7 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
     };
     // A failed preparation fails every active cell of its trial, and
     // those cells are never submitted.
-    for (const auto& f : run_phase(wave_trials.size(), prepare)) {
+    for (const auto& f : run_phase(wave_trials.size(), prepare, 1)) {
       for (const ActiveCell& c : cells) {
         if (c.trial == f.index) {
           fail_slot(c.slot, "trial preparation failed: " + f.message);
@@ -516,7 +520,7 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
       }
       resolve_slot(c.slot, make_trial_row(cell, std::move(row)));
     };
-    for (const auto& f : run_phase(units.size(), sweep)) {
+    for (const auto& f : run_phase(units.size(), sweep, workers)) {
       fail_slot(cells[units[f.index].sweep].slot, f.message);
     }
 

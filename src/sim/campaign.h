@@ -9,7 +9,10 @@
 // Scheduling: run_campaign runs trials in waves, each wave as two
 // BatchExecutor submissions. Phase 1 has one unit per trial that still has
 // uncached cells: it generates and classifies the topology, resolves the
-// trial's scheduled specs and builds each cell's SweepPlan. Phase 2 runs
+// trial's scheduled specs and builds each cell's SweepPlan. It runs on one
+// worker, because preparation is allocation-heavy and trials prepared
+// side by side contend for the allocator and stack their peak memory.
+// Phase 2 runs
 // every prepared cell's sweep units — built by append_sweep_units, the
 // unit list analyze_sweep runs — in one submission, so short specs never
 // serialize behind long ones at per-spec barriers. A wave's trial state
