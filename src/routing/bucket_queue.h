@@ -9,12 +9,12 @@
 // EngineWorkspace so bucket capacity survives across stages and queries.
 //
 // Contract: pop() returns an item of the smallest length present, and
-// items of one length come out in insertion (FIFO) order. A push below the
-// drain cursor (the seeded engine's DynamicSWSF-FP fixpoint and restate
-// pass can push below the key they last popped) rewinds the cursor. No
-// caller depends on the order among equal lengths: every stage builds a
-// route of length L only from neighbors of length L-1, and picks next hops
-// in adjacency order, never in pop order.
+// items of one length come out in insertion (FIFO) order. The queue is
+// monotone: a caller pushes its seeds before the first pop, then only
+// lengths at or above the one it last popped (push asserts it). No caller
+// depends on the order among equal lengths: every stage builds a route of
+// length L only from neighbors of length L-1, and picks next hops in
+// adjacency order, never in pop order.
 #ifndef SBGP_ROUTING_BUCKET_QUEUE_H
 #define SBGP_ROUTING_BUCKET_QUEUE_H
 
@@ -31,12 +31,6 @@ class BucketQueue {
  public:
   using Item = std::pair<std::uint32_t, topology::AsId>;
 
-  /// Keys of exactly this value (kNoRouteLength: the "no route" sentinel
-  /// the seeded provider delta pushes for dropped routes) live in a
-  /// dedicated overflow bucket instead of materializing 2^16 - 1 empty
-  /// finite buckets. They compare greater than every finite length.
-  static constexpr std::uint32_t kInfLength = 0xFFFF;
-
   BucketQueue() = default;
 
   /// Empties the queue, keeping all bucket capacity. O(#buckets touched
@@ -44,7 +38,6 @@ class BucketQueue {
   void clear() {
     for (const std::uint32_t len : used_) reset_bucket(buckets_[len]);
     used_.clear();
-    reset_bucket(inf_bucket_);
     cur_ = 0;
     size_ = 0;
   }
@@ -52,31 +45,25 @@ class BucketQueue {
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
+  /// Requires len >= the length last popped since clear().
   void push(std::uint32_t len, topology::AsId v) {
-    assert(len <= kInfLength);
+    assert(len >= cur_);
     ++size_;
-    if (len >= kInfLength) {
-      inf_bucket_.items.push_back(v);
-      return;
-    }
     if (len >= buckets_.size()) buckets_.resize(len + 1);
     Bucket& b = buckets_[len];
     if (b.items.empty()) used_.push_back(len);
     b.items.push_back(v);
-    if (len < cur_) cur_ = len;  // backward push: rewind the drain cursor
   }
 
   /// Removes and returns the oldest item of the smallest length present.
   Item pop() {
     assert(size_ > 0);
     --size_;
-    while (cur_ < buckets_.size()) {
+    for (;; ++cur_) {
+      assert(cur_ < buckets_.size());
       Bucket& b = buckets_[cur_];
       if (b.head < b.items.size()) return {cur_, b.items[b.head++]};
-      ++cur_;
     }
-    assert(inf_bucket_.head < inf_bucket_.items.size());
-    return {kInfLength, inf_bucket_.items[inf_bucket_.head++]};
   }
 
  private:
@@ -90,10 +77,9 @@ class BucketQueue {
     b.head = 0;
   }
 
-  std::vector<Bucket> buckets_;      // finite lengths; grown on demand
-  Bucket inf_bucket_;                // kInfLength items
-  std::vector<std::uint32_t> used_;  // finite buckets touched since clear()
-  std::uint32_t cur_ = 0;            // lowest possibly-non-empty bucket
+  std::vector<Bucket> buckets_;      // one per length; grown on demand
+  std::vector<std::uint32_t> used_;  // buckets touched since clear()
+  std::uint32_t cur_ = 0;            // drain cursor: no item lies below it
   std::size_t size_ = 0;
 };
 

@@ -22,10 +22,6 @@ struct Ctx {
   BucketQueue& frontier;
   RoutingOutcome& out;
 
-  /// Tag selecting the seeded constructor: `result` already holds a valid
-  /// pre-seeded state and must not be reset.
-  struct Seeded {};
-
   Ctx(const AsGraph& graph, const Deployment& deployment, SecurityModel mdl,
       AsId dest, AsId attacker, EngineWorkspace& ws, RoutingOutcome& result)
       : g(graph),
@@ -38,20 +34,6 @@ struct Ctx {
         out(result) {
     fixed.assign(graph.num_ases(), 0);
     out.reset(graph.num_ases());
-  }
-
-  Ctx(const AsGraph& graph, const Deployment& deployment, SecurityModel mdl,
-      AsId dest, AsId attacker, EngineWorkspace& ws, RoutingOutcome& result,
-      Seeded)
-      : g(graph),
-        dep(deployment),
-        model(mdl),
-        d(dest),
-        m(attacker),
-        fixed(ws.fixed),
-        frontier(ws.frontier),
-        out(result) {
-    fixed.assign(graph.num_ases(), 0);
   }
 
   /// SecP applies at v? (Baseline ignores the deployment entirely.)
@@ -439,34 +421,10 @@ void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
   hysteresis_from_normal(g, q, deployment, ws, normal, result);
 }
 
-namespace {
-
-/// The attributes of one AS that neighbors' candidate scans read are
-/// exactly the packed outcome word (type, flags, length) — next hops are
-/// deliberately absent from it: they never feed another AS's selection, so
-/// a next-hop-only update must not propagate. Rank comparison is therefore
-/// a single 32-bit load and compare.
-using RankState = std::uint32_t;
-
-RankState rank_state(const RoutingOutcome& o, AsId v) {
-  return o.packed_word(v);
-}
-
-bool rank_state_differs(RankState before, const RoutingOutcome& o, AsId v) {
-  return o.packed_word(v) != before;
-}
-
-}  // namespace
-
 bool routing_seed_applicable(const Query& q, const Deployment& deployment) {
-  // The seeded path replicates the plain FCR/FPeeR/FPrvR pipeline, which
-  // is the whole pipeline whenever no secure stage runs: kInsecure and
-  // kSecurityThird never run FS* stages (security only breaks ties), and
-  // an unsigned origin disables them in the other two models. Security
-  // 1st/2nd with a signed origin additionally runs FSCR/FSPeeR/FSPrvR,
-  // whose interleaving the delta does not reproduce — m ceasing to be a
-  // secure transit node can displace secure routes in ways the plain
-  // pipeline never sees.
+  // No secure stage runs: kInsecure and kSecurityThird never run FS*
+  // stages (security only breaks ties), and an unsigned origin disables
+  // them in the other two models.
   return q.under_attack() &&
          (q.model == SecurityModel::kInsecure ||
           q.model == SecurityModel::kSecurityThird ||
@@ -495,257 +453,7 @@ void compute_routing_seeded_into(const AsGraph& g, const Query& q,
     throw std::invalid_argument(
         "compute_routing_seeded_into: baseline/graph size mismatch");
   }
-  assert(&baseline != &result);
-
-  result = baseline;
-  Ctx ctx(g, deployment, q.model, q.destination, q.attacker, ws, result,
-          Ctx::Seeded{});
-
-  // Epoch-stamped per-phase marks: O(changed) per call, no O(V) clears.
-  if (ws.seen.size() < n) ws.seen.resize(n, 0);
-  if (ws.seen_bits.size() < n) ws.seen_bits.resize(n, 0);
-  const std::uint64_t epoch = ++ws.seen_epoch;
-  constexpr std::uint8_t kCustomerDone = 1;
-  constexpr std::uint8_t kPeerListed = 2;
-  constexpr std::uint8_t kDistDirty = 4;
-  constexpr std::uint8_t kRestateListed = 8;
-  const auto mark = [&](AsId v, std::uint8_t bit) {
-    if (ws.seen[v] != epoch) {
-      ws.seen[v] = epoch;
-      ws.seen_bits[v] = 0;
-    }
-    if ((ws.seen_bits[v] & bit) != 0) return false;
-    ws.seen_bits[v] |= bit;
-    return true;
-  };
-
-  // ws.frontier stays free for the provider-delta queues below
-  // (Ctx::frontier aliases it); the customer delta gets its own queue.
-  BucketQueue& customer_heap = ws.frontier2;
-  customer_heap.clear();
-  ws.touched.clear();
-  ws.changed.clear();
-
-  // Fan-out after v's rank state changed in the customer stage: push every
-  // provider (customer-stage consumer) and record every peer (peer-stage
-  // consumer). Customer-stage candidate lengths only shrink relative to
-  // the baseline — the stage depends only on origins and the customer
-  // hierarchy, and the attack merely adds the origin at m — so pushes
-  // carry final lengths and the queue pops each changed AS first at
-  // exactly its final stage length, when its whole final tie bucket is
-  // already final. Pop order within one length is free for the same reason
-  // as in customer_stage: every candidate is one hop shorter.
-  const auto push_neighbors = [&](AsId v) {
-    if (!ctx.exports_up(v)) return;
-    const std::uint32_t next_len = ctx.out.length(v) + 1u;
-    for (const AsId p : ctx.g.providers(v)) customer_heap.push(next_len, p);
-    for (const AsId u : ctx.g.peers(v)) {
-      if (mark(u, kPeerListed)) ws.touched.push_back(u);
-    }
-  };
-
-  // Install the attacker's bogus origination "m, d" (length 1, legacy
-  // BGP), replacing whatever baseline route m held. As a customer-stage
-  // exporter m is at least as attractive as before: a baseline
-  // customer-stage route at m had length >= 1.
-  ctx.out.fix(q.attacker, RouteType::kOrigin, 1, /*reach_d=*/false,
-              /*reach_m=*/true, /*secure=*/false, kNoAs, kNoAs);
-  ctx.fixed[q.attacker] = 1;
-  ws.changed.push_back(q.attacker);
-  push_neighbors(q.attacker);
-
-  // --- Customer-stage delta (FCR) ---------------------------------------
-  // Re-derives each touched AS with the engine's exact candidate filter,
-  // expressed over final states: exporting customers at the minimal
-  // candidate length (identical to the fixed[]-based filter because
-  // customer-stage suppliers always fix before their consumers).
-  while (!customer_heap.empty()) {
-    const auto [len, v] = customer_heap.pop();
-    (void)len;
-    if (!mark(v, kCustomerDone)) continue;
-    if (ctx.out.type(v) == RouteType::kOrigin) continue;
-    std::uint32_t best = kNoRouteLength;
-    for (const AsId c : ctx.g.customers(v)) {
-      if (!ctx.exports_up(c)) continue;
-      best = std::min(best, ctx.out.length(c) + 1u);
-    }
-    if (best == kNoRouteLength) continue;  // v is not fixed in this stage
-    const RankState before = rank_state(ctx.out, v);
-    Candidates cands;
-    for (const AsId c : ctx.g.customers(v)) {
-      if (!ctx.exports_up(c)) continue;
-      if (ctx.out.length(c) + 1u != best) continue;
-      cands.add(ctx, c, ctx.validates(v) && ctx.secure_source(c));
-    }
-    assert(cands.any);
-    // Commit unconditionally: the tie set may have gained a member that
-    // changes only the representative next hops, and next hops never feed
-    // neighbors — so propagation keys off the rank state alone.
-    cands.fix(ctx, v, RouteType::kCustomer, static_cast<std::uint16_t>(best));
-    if (rank_state_differs(before, ctx.out, v)) {
-      ws.changed.push_back(v);
-      push_neighbors(v);
-    }
-  }
-
-  // --- Peer-stage delta (FPeeR) -----------------------------------------
-  // Peer routes are learned only from exporting (customer/origin) peers,
-  // all finalized by the customer phase; there is no ordering among peer
-  // fixes, so one pass over the touched set suffices.
-  for (const AsId v : ws.touched) {
-    const RouteType t = ctx.out.type(v);
-    if (t == RouteType::kOrigin || t == RouteType::kCustomer) continue;
-    std::uint32_t best_len = kNoRouteLength;
-    std::uint32_t best_secure_len = kNoRouteLength;
-    for (const AsId u : ctx.g.peers(v)) {
-      if (!ctx.exports_up(u)) continue;
-      const std::uint32_t len = ctx.out.length(u) + 1u;
-      best_len = std::min(best_len, len);
-      if (ctx.validates(v) && ctx.secure_source(u)) {
-        best_secure_len = std::min(best_secure_len, len);
-      }
-    }
-    if (best_len == kNoRouteLength) continue;
-    const bool prefer_secure_bucket =
-        ctx.model == SecurityModel::kSecuritySecond &&
-        best_secure_len != kNoRouteLength;
-    const std::uint32_t chosen_len =
-        prefer_secure_bucket ? best_secure_len : best_len;
-    const RankState before = rank_state(ctx.out, v);
-    Candidates cands;
-    for (const AsId u : ctx.g.peers(v)) {
-      if (!ctx.exports_up(u)) continue;
-      if (ctx.out.length(u) + 1u != chosen_len) continue;
-      const bool secure = ctx.validates(v) && ctx.secure_source(u);
-      if (prefer_secure_bucket && !secure) continue;
-      cands.add(ctx, u, secure);
-    }
-    assert(cands.any);
-    cands.fix(ctx, v, RouteType::kPeer, static_cast<std::uint16_t>(chosen_len));
-    if (rank_state_differs(before, ctx.out, v)) ws.changed.push_back(v);
-  }
-
-  // --- Provider-stage delta (FPrvR) -------------------------------------
-  // Provider routes are NOT monotone under the attack: an AS near d can
-  // trade its short provider route for a (longer) peer or customer route,
-  // lengthening every provider route that ran through it. The delta
-  // therefore runs in two passes over the one-provider-hop relation
-  //   len(v) = 1 + min{ len(p) : p a routed provider of v },
-  // whose sources are the origins and the customer/peer-fixed ASes:
-  //
-  //  1. *Lengths* — a DynamicSWSF-FP fixpoint (Ramalingam-Reps). dist[]
-  //     starts from the baseline lengths with the rank-changed sources
-  //     (ws.changed) substituted; rhs[] is the one-step lookahead, and an
-  //     AS is reprocessed while dist != rhs, handling both shortenings
-  //     (through m's bogus route) and lengthenings (a supplier left the
-  //     provider domain). Any dist == rhs fixpoint of the relation above
-  //     equals the stage's Dijkstra lengths: a finite dist is witnessed by
-  //     a real path (lengths strictly decrease toward a source), and
-  //     induction over final lengths bounds it from above.
-  //  2. *States* — flags and next hops are functions of the final
-  //     min-length provider bucket, so every AS whose bucket could have
-  //     changed (dist changed, or a provider's dist or rank changed) is
-  //     re-derived with the engine's exact Candidates scan, in increasing
-  //     final length; rank changes propagate to customers. A bucket member
-  //     always has a strictly smaller final length, so it is committed
-  //     before its consumers pop (state changes travel strictly down the
-  //     length order).
-  //
-  // Baseline bytes are kept wherever neither pass finds a change, and each
-  // re-derived AS gets engine-identical candidates, so the result stays
-  // bit-identical to a full compute_routing_into().
-  if (ws.dist.size() < n) ws.dist.resize(n);
-  if (ws.rhs.size() < n) ws.rhs.resize(n);
-  ws.dirty.clear();
-  for (AsId v = 0; v < n; ++v) ws.dist[v] = ctx.out.length(v);
-
-  const auto is_source = [&](AsId v) {
-    const RouteType t = ctx.out.type(v);
-    return t == RouteType::kOrigin || t == RouteType::kCustomer ||
-           t == RouteType::kPeer;
-  };
-  constexpr std::uint32_t kInf = kNoRouteLength;
-
-  {
-    // The dist == rhs fixpoint does not depend on the order among equal
-    // keys, so FIFO order within a key is as good as any.
-    BucketQueue& queue = ctx.frontier;
-    queue.clear();
-    const auto update = [&](AsId u) {
-      if (is_source(u)) return;
-      std::uint32_t best = kInf;
-      for (const AsId p : ctx.g.providers(u)) {
-        if (ws.dist[p] == kNoRouteLength) continue;
-        best = std::min(best, ws.dist[p] + 1u);
-      }
-      ws.rhs[u] = best;
-      const std::uint32_t du = ws.dist[u];
-      if (du != best) queue.push(std::min(du, best), u);
-    };
-    for (const AsId x : ws.changed) {
-      for (const AsId c : ctx.g.customers(x)) update(c);
-    }
-    while (!queue.empty()) {
-      const auto [key, v] = queue.pop();
-      const std::uint32_t dv = ws.dist[v];
-      const std::uint32_t rv = ws.rhs[v];
-      if (dv == rv || key != std::min(dv, rv)) continue;  // stale entry
-      if (mark(v, kDistDirty)) ws.dirty.push_back(v);
-      if (rv < dv) {
-        ws.dist[v] = static_cast<std::uint16_t>(rv);
-        for (const AsId c : ctx.g.customers(v)) update(c);
-      } else {
-        ws.dist[v] = kNoRouteLength;
-        update(v);
-        for (const AsId c : ctx.g.customers(v)) update(c);
-      }
-    }
-  }
-
-  {
-    // Order within one length is free: every member of a popped AS's
-    // provider tie bucket has a strictly smaller final length, so it is
-    // committed first.
-    BucketQueue& restate = ctx.frontier;
-    restate.clear();
-    const auto add_restate = [&](AsId v) {
-      if (is_source(v)) return;
-      if (!mark(v, kRestateListed)) return;
-      restate.push(ws.dist[v], v);
-    };
-    for (const AsId x : ws.changed) {
-      for (const AsId c : ctx.g.customers(x)) add_restate(c);
-    }
-    for (std::size_t i = 0; i < ws.dirty.size(); ++i) {
-      const AsId v = ws.dirty[i];
-      add_restate(v);
-      for (const AsId c : ctx.g.customers(v)) add_restate(c);
-    }
-    while (!restate.empty()) {
-      const auto [len, v] = restate.pop();
-      if (len == kInf) {
-        // No provider route in the attacked instance; drop any stale one.
-        // (Customers needing a recheck were already listed via ws.dirty.)
-        if (ctx.out.type(v) != RouteType::kNone) {
-          ctx.out.fix(v, RouteType::kNone, kNoRouteLength, /*reach_d=*/false,
-                      /*reach_m=*/false, /*secure=*/false, kNoAs, kNoAs);
-        }
-        continue;
-      }
-      const RankState before = rank_state(ctx.out, v);
-      Candidates cands;
-      for (const AsId p : ctx.g.providers(v)) {
-        if (ws.dist[p] == kNoRouteLength) continue;
-        if (ws.dist[p] + 1u != len) continue;
-        cands.add(ctx, p, ctx.validates(v) && ctx.secure_source(p));
-      }
-      assert(cands.any);
-      cands.fix(ctx, v, RouteType::kProvider, static_cast<std::uint16_t>(len));
-      if (rank_state_differs(before, ctx.out, v)) {
-        for (const AsId c : ctx.g.customers(v)) add_restate(c);
-      }
-    }
-  }
+  compute_routing_into(g, q, deployment, ws, result);
 }
 
 const RoutingOutcome& compute_routing_with_hysteresis(

@@ -49,10 +49,9 @@ inline constexpr std::uint8_t kFlagSecure = 1u << 3;  // the route is secure
 ///   bits  0-2   route type        bits 3-5   reach/secure flags
 ///   bits  6-15  reserved (zero)   bits 16-31 AS-path length
 ///
-/// so the engine's hot operations — fix(), the seeded path's rank-state
-/// comparisons, reset() — are single stores, single compares, and one
-/// fill respectively, and a query streams one word per AS through the
-/// cache instead of three parallel arrays. The two representative
+/// so the engine's hot operations — fix() and reset() — are single stores
+/// and one fill respectively, and a query streams one word per AS through
+/// the cache instead of three parallel arrays. The two representative
 /// next-hop arrays stay separate: only path reconstruction reads them.
 class RoutingOutcome {
  public:
@@ -95,9 +94,8 @@ class RoutingOutcome {
 
   /// The raw packed (type | flags | length) word of v — everything a
   /// neighbor's candidate scan can observe about v's route, and nothing it
-  /// cannot (next hops are excluded by construction). The seeded engine
-  /// compares these words to decide whether a re-derived state must
-  /// propagate.
+  /// cannot (next hops are excluded by construction). The golden digests
+  /// fold these words.
   [[nodiscard]] std::uint32_t packed_word(AsId v) const noexcept {
     return word_[v];
   }
@@ -136,8 +134,8 @@ class RoutingOutcome {
   }
 
   /// Exact per-AS equality over every attribute, including the
-  /// representative next hops — what the seeded/incremental engine paths
-  /// are tested against (identical bytes, not just identical statistics).
+  /// representative next hops — what alternative engine paths are tested
+  /// against (identical bytes, not just identical statistics).
   [[nodiscard]] bool operator==(const RoutingOutcome&) const = default;
 
   // --- engine-internal setters (public for the implementation file) -----
@@ -229,55 +227,23 @@ void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
                                           const RoutingOutcome& normal,
                                           RoutingOutcome& result);
 
-// --- Seeded / incremental routing ------------------------------------------
+// --- Seeded entry point ----------------------------------------------------
 //
-// The no-attack outcome of {d, kNoAs, model} is attacker-independent, and
-// compute_routing_seeded_into re-derives one attacked state from that
-// baseline instead of from scratch. (The per-pair pipeline no longer calls
-// it: a destination group's attacked states come from one lane pass,
-// routing/lanes.h. It stays as the benchmark's seeded-delta rung.)
-//
-//  * Customer stage: monotone delta. The stage depends only on origins
-//    and the customer hierarchy, and the attack merely adds the origin
-//    "m, d" (legacy BGP, length 1) — candidate lengths only shrink and
-//    exporters only accumulate, so only attacker-perturbed ASes are
-//    re-scanned, in the engine's exact candidate order.
-//  * Peer stage: delta. Peer routes read only finalized customer-stage
-//    states, so one pass over the ASes whose peer suppliers changed
-//    suffices.
-//  * Provider stage: two-pass delta. Provider routes are NOT monotone —
-//    an AS near d may trade a short provider route for a longer
-//    peer/customer route, lengthening every provider route through it —
-//    so the lengths are settled first with a DynamicSWSF-FP fixpoint
-//    (Ramalingam-Reps: handles both shortenings and lengthenings, visits
-//    only ASes whose one-provider-hop lookahead disagrees with their
-//    length), and the flags/next hops are then re-derived in increasing
-//    final length for every AS whose min-length provider bucket could
-//    have changed.
-//
-// The result is bit-for-bit identical to a full compute_routing_into of
-// the same query.
-//
-// In kSecurityFirst / kSecuritySecond with a signed origin the secure
-// stages (FSCR/FSPeeR/FSPrvR) also run, and their interleaving is not
-// reproduced here (the attacked instance *removes* m as a secure transit
-// node, which can displace secure routes); callers must fall back to the
-// full engine there.
+// compute_routing_seeded_into exists only for the benchmark's
+// `engine.seeded` rung, and goes when that rung does. It runs the full
+// engine and reads `baseline` only for its size check.
 
-/// True if compute_routing_seeded_into may serve this attacked query:
-/// q.under_attack() and no secure stage runs (kInsecure / kSecurityThird,
-/// or an unsigned origin), per the staging argument above. (A LanePass
-/// serves every attacked query; it runs the secure stages itself.)
+/// True if compute_routing_seeded_into accepts this query: q.under_attack()
+/// and no secure stage runs (kInsecure / kSecurityThird, or an unsigned
+/// origin).
 [[nodiscard]] bool routing_seed_applicable(const Query& q,
                                            const Deployment& deployment);
 
-/// Computes the attacked stable outcome of `q` into `result`, starting
-/// from `baseline` — which must be the outcome of {q.destination, kNoAs,
-/// q.model} under the same graph and deployment. Requires
-/// routing_seed_applicable(q, deployment) (throws std::invalid_argument
-/// otherwise, as for a malformed query); `baseline` must not alias
-/// `result`. Uses ws.fixed, ws.frontier, ws.frontier2, ws.touched,
-/// ws.changed, ws.dirty, ws.dist, ws.rhs and ws.seen as scratch.
+/// Computes the attacked stable outcome of `q` into `result`, exactly as
+/// compute_routing_into does. Throws std::invalid_argument on a malformed
+/// query, unless routing_seed_applicable(q, deployment), or when
+/// `baseline` (the outcome of {q.destination, kNoAs, q.model}) does not
+/// match the graph's size.
 void compute_routing_seeded_into(const AsGraph& g, const Query& q,
                                  const Deployment& deployment,
                                  EngineWorkspace& ws,

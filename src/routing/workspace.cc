@@ -14,13 +14,6 @@ void EngineWorkspace::reserve(std::size_t num_ases) {
   empty_flags.reserve(num_ases);
   signer_flags.reserve(num_ases);
   fixed.reserve(num_ases);
-  touched.reserve(num_ases);
-  changed.reserve(num_ases);
-  dirty.reserve(num_ases);
-  dist.reserve(num_ases);
-  rhs.reserve(num_ases);
-  seen.reserve(num_ases);
-  seen_bits.reserve(num_ases);
   candidates.reserve(64);
   reach_d.customer.reserve(num_ases);
   reach_d.peer.reserve(num_ases);

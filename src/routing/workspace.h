@@ -70,10 +70,9 @@ struct DestBaselineSlot {
 ///     before counting.
 ///   - A `result` argument passed to any *_into entry point must not alias
 ///     a slot the same call reads or clobbers (asserted where cheap).
-/// Scratch members (`fixed`, `frontier`, `frontier2`, `touched`, `changed`,
-/// `dirty`, `dist`, `rhs`, `seen`, `candidates`, `reach_*`) are invalidated
-/// by every compute call; no caller may hold state in them across engine
-/// entry points.
+/// Scratch members (`fixed`, `frontier`, `candidates`, `reach_*`) are
+/// invalidated by every compute call; no caller may hold state in them
+/// across engine entry points.
 class EngineWorkspace {
  public:
   EngineWorkspace() = default;
@@ -110,17 +109,6 @@ class EngineWorkspace {
   std::vector<std::uint8_t> fixed;  // per-AS "route fixed" flags
   BucketQueue frontier;             // stage frontier (bucket queue)
   std::vector<AsId> candidates;     // tie-set candidate buffer (baseline)
-
-  // --- Seeded-engine delta scratch (compute_routing_seeded_into) --------
-  BucketQueue frontier2;            // 2nd stage frontier (customer delta)
-  std::vector<AsId> touched;           // peer-phase candidate list
-  std::vector<AsId> changed;           // rank-changed customer/peer sources
-  std::vector<AsId> dirty;             // provider-delta distance-change list
-  std::vector<std::uint16_t> dist;     // provider-delta working lengths
-  std::vector<std::uint32_t> rhs;      // provider-delta one-step lookaheads
-  std::vector<std::uint64_t> seen;     // per-AS epoch stamps
-  std::vector<std::uint8_t> seen_bits; // per-phase marks within an epoch
-  std::uint64_t seen_epoch = 0;        // bumped once per seeded call
 
   // --- Perceivable-reachability scratch (security::PartitionContext) ----
   // Security 1st's exclusion distances; the fused pipeline's lane classes

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <deque>
 #include <map>
 #include <random>
@@ -58,20 +57,9 @@ TEST(BucketQueue, DuplicateEntriesAllComeOut) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(BucketQueue, InfLengthKeysComeLast) {
-  BucketQueue q;
-  q.push(BucketQueue::kInfLength, 3);
-  q.push(BucketQueue::kInfLength, 1);
-  q.push(200, 9);
-  EXPECT_EQ(q.pop(), (Item{200, 9}));
-  EXPECT_EQ(q.pop(), (Item{BucketQueue::kInfLength, 3}));
-  EXPECT_EQ(q.pop(), (Item{BucketQueue::kInfLength, 1}));
-  EXPECT_TRUE(q.empty());
-}
-
 TEST(BucketQueue, PushIntoCurrentlyDrainingBucket) {
-  // The seeded SWSF-FP fixpoint re-inserts at the key being drained: the
-  // new items join the back of that length's FIFO.
+  // A push at the length being drained (the smallest a caller may push
+  // after a pop) joins the back of that length's FIFO.
   BucketQueue q;
   q.push(4, 10);
   q.push(4, 30);
@@ -84,29 +72,16 @@ TEST(BucketQueue, PushIntoCurrentlyDrainingBucket) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(BucketQueue, PushBelowCursorRewinds) {
-  // The seeded restate pass can push keys strictly below the key it last
-  // popped; the queue must return to the lower bucket.
-  BucketQueue q;
-  q.push(10, 1);
-  q.push(12, 2);
-  EXPECT_EQ(q.pop(), (Item{10, 1}));
-  q.push(3, 7);
-  q.push(10, 4);  // the drained length-10 bucket gains a new item too
-  EXPECT_EQ(q.pop(), (Item{3, 7}));
-  EXPECT_EQ(q.pop(), (Item{10, 4}));
-  EXPECT_EQ(q.pop(), (Item{12, 2}));
-  EXPECT_TRUE(q.empty());
-}
-
 TEST(BucketQueue, ClearResetsForReuse) {
   BucketQueue q;
   q.push(2, 1);
-  q.push(BucketQueue::kInfLength, 2);
+  q.push(7, 2);
   EXPECT_EQ(q.pop(), (Item{2, 1}));
-  q.clear();
+  q.clear();  // half-drained: the length-7 item must not survive
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
+  // clear() also resets the drain cursor, so a new seed batch may start
+  // below the length last popped.
   q.push(1, 8);
   q.push(0, 3);
   EXPECT_EQ(q.pop(), (Item{0, 3}));
@@ -114,23 +89,26 @@ TEST(BucketQueue, ClearResetsForReuse) {
   EXPECT_TRUE(q.empty());
 }
 
-/// Randomized equivalence: interleave pushes and pops adversarially and
-/// require the bucket queue's pop sequence to match the reference FIFOs
-/// item-for-item. Lengths are drawn from a narrow band around the last
-/// popped key so duplicate lengths, same-bucket re-pushes and
-/// decrease-by-repush (a lower key pushed for an id already queued at a
-/// higher one) all occur constantly.
+/// Randomized equivalence under the monotone contract every caller keeps:
+/// a seed batch, then pushes interleaved with pops, each at or above the
+/// last popped length. The bucket queue's pop sequence must match the
+/// reference FIFOs item-for-item. Lengths stay in a narrow band above the
+/// last popped one, so duplicate lengths and pushes into the bucket being
+/// drained occur constantly.
 TEST(BucketQueue, MatchesReferenceFifoOnAdversarialInterleavings) {
   for (std::uint32_t seed = 0; seed < 16; ++seed) {
     std::mt19937 rng(20130812u + seed);
     BucketQueue q;
     ReferenceFifo ref;
-    std::uint32_t last_key = 8;  // band center; tracks popped keys
+    std::uint32_t last_key = 0;  // the last popped length
 
     const auto push_both = [&](std::uint32_t len, topology::AsId v) {
       q.push(len, v);
       ref.push(len, v);
     };
+    for (int i = 0; i < 24; ++i) {
+      push_both(rng() % 12, rng() % 32);
+    }
 
     std::size_t pops = 0;
     for (int step = 0; step < 4000; ++step) {
@@ -140,29 +118,15 @@ TEST(BucketQueue, MatchesReferenceFifoOnAdversarialInterleavings) {
         ASSERT_FALSE(q.empty());
         const Item got = q.pop();
         ASSERT_EQ(got, expect) << "seed " << seed << " pop #" << pops;
-        last_key = expect.first == BucketQueue::kInfLength
-                       ? 8
-                       : expect.first;
+        last_key = expect.first;
         ++pops;
         continue;
       }
       const topology::AsId v = rng() % 32;  // small id space: many dups
-      switch (rng() % 8) {
-        case 0:  // sentinel key (the provider delta's dropped-route push)
-          push_both(BucketQueue::kInfLength, v);
-          break;
-        case 1:  // decrease-by-repush: strictly below the last popped key
-          push_both(
-              last_key - std::min(last_key,
-                                  1u + static_cast<std::uint32_t>(rng() % 4)),
-              v);
-          break;
-        case 2:  // same-key push into the bucket being drained
-          push_both(last_key, v);
-          break;
-        default:  // monotone-ish push slightly above the last popped key
-          push_both(last_key + rng() % 6, v);
-          break;
+      if (rng() % 4 == 0) {
+        push_both(last_key, v);  // into the bucket being drained
+      } else {
+        push_both(last_key + rng() % 6, v);
       }
     }
     while (!ref.empty()) {
@@ -184,17 +148,24 @@ TEST(BucketQueue, MatchesReferenceAcrossClears) {
     ReferenceFifo ref;
     const int n = 1 + static_cast<int>(rng() % 64);
     for (int i = 0; i < n; ++i) {
-      const std::uint32_t len =
-          rng() % 5 == 0 ? BucketQueue::kInfLength : rng() % 20;
+      const std::uint32_t len = rng() % 20;
       const topology::AsId v = rng() % 16;
       q.push(len, v);
       ref.push(len, v);
     }
-    // Pop part of the round, so the next clear() meets half-drained
-    // buckets as well as untouched ones.
+    // Pop part of the round, pushing at or above each popped length now
+    // and then, so the next clear() meets half-drained buckets as well as
+    // untouched ones.
     const int drain = static_cast<int>(rng() % static_cast<unsigned>(n + 1));
     for (int i = 0; i < drain; ++i) {
-      ASSERT_EQ(q.pop(), ref.pop()) << "round " << round;
+      const Item expect = ref.pop();
+      ASSERT_EQ(q.pop(), expect) << "round " << round;
+      if (rng() % 2 == 0) {
+        const std::uint32_t len = expect.first + rng() % 3;
+        const topology::AsId v = rng() % 16;
+        q.push(len, v);
+        ref.push(len, v);
+      }
     }
     if (round % 2 == 0) continue;
     while (!ref.empty()) {

@@ -69,8 +69,8 @@ TEST(PackedOutcome, ResetYieldsUnfixedState) {
 }
 
 // operator== must react to every field independently — the equivalence
-// tests (seeded vs full engine) rely on it detecting single-attribute
-// drift.
+// tests (cached-normal vs recomputing hysteresis) and the benchmark's
+// replay checks rely on it detecting single-attribute drift.
 TEST(PackedOutcome, EqualitySensitivityPerField) {
   const auto base = [] {
     RoutingOutcome o(2);
