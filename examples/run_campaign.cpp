@@ -34,7 +34,7 @@
 // weighted per-trial schema (w_ columns).
 //
 //   ./example_run_campaign [topology] [trials] [samples] [csv] [json]
-//                          [--cache-dir DIR] [--expect-cached] [--strict]
+//                          [--cache-dir DIR] [--expect-cached]
 //                          [--shard I/N] [--merge-only] [--faults SPEC]
 //                          [--target-stderr X] [--max-trials N] [--wave N]
 //                          [--stream PATH] [--agg PATH]
@@ -43,9 +43,8 @@
 //
 // Exit status: 0 clean, 1 round-trip or --expect-cached failure, 2 usage
 // or configuration error, 3 completed with failed or missing cells.
-#include <cerrno>
+#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -78,8 +77,7 @@ std::optional<std::size_t> parse_count(const std::string& text) {
 void print_usage(std::ostream& os) {
   os << "usage: example_run_campaign [topology] [trials] [samples]"
         " [csv] [json]\n"
-        "                            [--cache-dir DIR] [--expect-cached]"
-        " [--strict]\n"
+        "                            [--cache-dir DIR] [--expect-cached]\n"
         "                            [--shard I/N] [--merge-only]"
         " [--faults SPEC]\n"
         "                            [--target-stderr X] [--max-trials N]"
@@ -98,8 +96,6 @@ void print_usage(std::ostream& os) {
         "                    result cache under DIR\n"
         "  --expect-cached   fail unless every (trial, spec) cell was a\n"
         "                    cache hit (no engine work)\n"
-        "  --strict          fail fast: rethrow the first unit failure\n"
-        "                    instead of isolating it to its cell\n"
         "  --shard I/N       compute only the cells assigned to shard I of\n"
         "                    N (0-based; needs --cache-dir)\n"
         "  --merge-only      assemble rows purely from cache hits; missing\n"
@@ -168,10 +164,6 @@ int run(int argc, char** argv) {
       expect_cached = true;
       continue;
     }
-    if (arg == "--strict") {
-      campaign.strict = true;
-      continue;
-    }
     if (arg == "--merge-only") {
       campaign.merge_only = true;
       continue;
@@ -209,12 +201,14 @@ int run(int argc, char** argv) {
       } else if (arg == "--traffic") {
         traffic = sim::parse_traffic_model(value);
       } else if (arg == "--target-stderr") {
-        char* end = nullptr;
-        errno = 0;
-        const double target = std::strtod(value.c_str(), &end);
-        if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
-            !(target > 0.0)) {
-          std::cerr << "error: --target-stderr wants a positive number, got '"
+        double target = 0.0;  // a parse error leaves 0, rejected below
+        try {
+          target = util::parse_double(value);
+        } catch (const std::invalid_argument&) {
+        }
+        if (!std::isfinite(target) || target <= 0.0) {
+          std::cerr << "error: --target-stderr wants a finite positive "
+                       "number, got '"
                     << value << "'\n\n";
           print_usage(std::cerr);
           return 2;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -213,10 +214,11 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
           "'; available: " + deployment::scenario_names());
     }
   }
-  // Written so a NaN target fails too.
-  if (!(campaign.target_stderr >= 0.0)) {
+  // An infinite target would stop every spec after its first wave.
+  if (!std::isfinite(campaign.target_stderr) || campaign.target_stderr < 0.0) {
     throw std::invalid_argument(
-        "run_campaign: target_stderr must be >= 0 (0 disables stopping)");
+        "run_campaign: target_stderr must be finite and >= 0 (0 disables "
+        "stopping)");
   }
   const bool adaptive = campaign.target_stderr > 0.0;
   if (!adaptive && campaign.max_trials != 0) {
@@ -323,18 +325,6 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
       opts.executor != nullptr ? *opts.executor : BatchExecutor::shared();
   const std::size_t workers = exec.effective_workers(opts.threads);
   std::atomic<std::size_t> store_failures{0};
-
-  // Strict mode rethrows the first failure of a phase; isolation mode
-  // collects every failure, sorted by unit index.
-  const auto run_phase = [&](std::size_t count,
-                             const BatchExecutor::Task& task,
-                             std::size_t max_workers) {
-    if (campaign.strict) {
-      exec.run(count, task, max_workers);
-      return std::vector<UnitFailure>{};
-    }
-    return exec.run_isolated(count, task, max_workers);
-  };
 
   // Per-spec sequential-stopping state: the running cross-wave
   // accumulators and the reason scheduling ended.
@@ -458,7 +448,7 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
     };
     // A failed preparation fails every active cell of its trial, and
     // those cells are never submitted.
-    for (const auto& f : run_phase(wave_trials.size(), prepare, 1)) {
+    for (const auto& f : exec.run_isolated(wave_trials.size(), prepare, 1)) {
       for (const ActiveCell& c : cells) {
         if (c.trial == f.index) {
           fail_slot(c.slot, "trial preparation failed: " + f.message);
@@ -520,7 +510,7 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
       }
       resolve_slot(c.slot, make_trial_row(cell, std::move(row)));
     };
-    for (const auto& f : run_phase(units.size(), sweep, workers)) {
+    for (const auto& f : exec.run_isolated(units.size(), sweep, workers)) {
       fail_slot(cells[units[f.index].sweep].slot, f.message);
     }
 

@@ -32,8 +32,8 @@
 // run_experiment_suite calls on the same generated topologies, for any
 // worker count.
 //
-// Fault tolerance: by default a throwing unit fails only its own (trial,
-// spec) cell (BatchExecutor::run_isolated); every other cell completes,
+// Fault tolerance: a throwing unit fails only its own (trial, spec) cell
+// (BatchExecutor::run_isolated); every other cell completes,
 // is checkpointed into the cache the moment it finishes, and the failures
 // come back as structured CampaignResult::failed_cells. Since failures
 // are never cached and surviving rows never depend on them, a crashed,
@@ -79,12 +79,6 @@ struct CampaignSpec {
   /// from the hits). Rows served from cache are byte-identical to
   /// recomputed ones (the store round-trips raw integer counters).
   std::string cache_dir;
-  /// Fail fast (the pre-isolation behavior): the first throwing unit
-  /// aborts the whole batch and run_campaign rethrows it. Default is
-  /// failure isolation — a throwing unit fails only its own (trial, spec)
-  /// cell, every other cell completes and persists, and the failures come
-  /// back in CampaignResult::failed_cells.
-  bool strict = false;
   /// Sharded execution: with shard_count >= 2, this process computes only
   /// the (trial, spec) cells whose cache-key fingerprint maps to
   /// shard_index (cache_key_fingerprint(key) mod shard_count — stable
@@ -143,7 +137,7 @@ enum class StoppingReason {
 /// Order-sensitive fingerprint of every result-affecting campaign field:
 /// label, topology, trials, seed, the experiment list (count plus each
 /// spec's fingerprint), and the adaptive config (target_stderr, wave_size,
-/// max_trials). Execution-only knobs — cache_dir, strict, sharding,
+/// max_trials). Execution-only knobs — cache_dir, sharding,
 /// merge_only, fault injection — take no part, by the same rule as
 /// ExperimentSpec's fingerprint: equal fingerprints must imply equal rows.
 [[nodiscard]] std::uint64_t spec_fingerprint(const CampaignSpec& campaign);
@@ -248,10 +242,9 @@ struct CampaignResult {
   /// were found missing).
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  /// Cells that produced no row, in (trial, spec) order. Empty on a clean
-  /// run, and always empty in strict mode (the failure was rethrown
-  /// instead). Failures are never cached, so re-running the campaign with
-  /// the same cache_dir retries exactly these cells.
+  /// Cells that produced no row, in (trial, spec) order; empty on a clean
+  /// run. Failures are never cached, so re-running the campaign with the
+  /// same cache_dir retries exactly these cells.
   std::vector<FailedCell> failed_cells;
   /// Completed cells whose cache install failed (disk full, injected
   /// store fault). Their rows are still returned; only the checkpoint was
@@ -282,14 +275,15 @@ using RowSink = std::function<void(const CampaignTrialRow&)>;
 /// (see file comment; a fixed campaign is one wave), consulting the result
 /// cache first when cache_dir is set and streaming completed rows through
 /// `sink` when one is given. Unit failures are isolated per (trial, spec)
-/// cell unless campaign.strict is set (then the first failure is
-/// rethrown, as every failure during spec validation always is). Throws
-/// std::invalid_argument — naming the registered topologies / scenarios —
-/// on unknown names, and on empty trial or experiment lists, explicit
-/// attacker/destination AS lists, empty analysis sets, partitions or
-/// downgrades under the insecure model, bad shard,
-/// merge-only or adaptive configurations, or (from trial preparation,
-/// strict mode) out-of-range rollout steps.
+/// cell: a throwing unit fails only its own cell (a failed trial
+/// preparation, such as an out-of-range rollout step, fails every cell of
+/// its trial), every other cell completes and persists, and the failures
+/// come back in CampaignResult::failed_cells. Spec validation failures are
+/// rethrown: std::invalid_argument — naming the registered topologies /
+/// scenarios — on unknown names, and on empty trial or experiment lists,
+/// explicit attacker/destination AS lists, empty analysis sets, partitions
+/// or downgrades under the insecure model, and bad shard, merge-only or
+/// adaptive configurations.
 [[nodiscard]] CampaignResult run_campaign(const CampaignSpec& campaign,
                                           const RunnerOptions& opts = {},
                                           const RowSink& sink = {});

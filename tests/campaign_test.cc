@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -485,25 +486,10 @@ TEST(Campaign, RejectsInsecurePartitionsBeforeRunningAnyCell) {
   }
 }
 
-TEST(Campaign, BadRolloutStepSurfacesFromTrialPrepInStrictMode) {
-  // Out-of-range steps are only detectable once the trial's rollout is
-  // built, i.e. inside the batch — in strict mode the error must still
-  // propagate out of run_campaign.
-  CampaignSpec campaign = small_campaign(1);
-  campaign.experiments[0].rollout_step = 99;
-  campaign.strict = true;
-  BatchExecutor executor(4);
-  RunnerOptions opts;
-  opts.executor = &executor;
-  EXPECT_THROW((void)run_campaign(campaign, opts), std::invalid_argument);
-  // The executor must stay usable after the aborted batch.
-  const CampaignResult ok = run_campaign(small_campaign(1), opts);
-  EXPECT_EQ(ok.trial_rows.size(), small_campaign(1).experiments.size());
-}
-
 TEST(Campaign, BadRolloutStepFailsEveryCellOfItsTrialWhenIsolated) {
-  // Default (isolation) mode: the prep failure of the only trial fails all
-  // of its cells — none of them reaches the sweep phase — and comes back
+  // Out-of-range steps are only detectable once the trial's rollout is
+  // built, i.e. inside the batch. The prep failure of the only trial fails
+  // all of its cells — none of them reaches the sweep phase — and comes back
   // structured instead of thrown.
   CampaignSpec campaign = small_campaign(1);
   campaign.experiments[0].rollout_step = 99;
@@ -647,6 +633,11 @@ TEST(Campaign, AdaptiveConfigValidation) {
   CampaignSpec negative_target = small_campaign(2);
   negative_target.target_stderr = -0.25;
   EXPECT_THROW((void)run_campaign(negative_target), std::invalid_argument);
+
+  // An infinite target would stop every spec after its first wave.
+  CampaignSpec inf_target = small_campaign(2);
+  inf_target.target_stderr = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)run_campaign(inf_target), std::invalid_argument);
 
   // Sharding cannot observe other shards' rows; merge-only makes no
   // stopping decisions. Both throw before any cache I/O happens.
