@@ -218,9 +218,10 @@ void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
 /// Hysteresis variant that takes the pre-attack outcome of
 /// {q.destination, kNoAs, q.model} under `deployment` as a precomputed
 /// input instead of recomputing it — the destination-grouped sweep
-/// (sim/pair_analysis.h) computes `normal` once per destination and feeds
-/// it to every attacker. `normal` must not alias `result`; ws.normal is
-/// left untouched. Bit-for-bit identical to the recomputing overload.
+/// (sim/pair_analysis.h) computes `normal` once per chunk of a
+/// destination's attackers and feeds it to every attacker of the chunk.
+/// `normal` must not alias `result`; ws.normal is left untouched.
+/// Bit-for-bit identical to the recomputing overload.
 void compute_routing_with_hysteresis_into(const AsGraph& g, const Query& q,
                                           const Deployment& deployment,
                                           EngineWorkspace& ws,

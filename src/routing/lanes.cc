@@ -74,9 +74,10 @@ void LanePass::start(bool origin_secure) {
   st_.assign(g_->num_ases(), State{});
   levels_ = 0;
   add_level(1);
-  // Roots: d announces "d" (length 0) in every lane; attacker k announces
-  // the bogus "m, d" (length 1) over legacy BGP in lane k only.
-  const Mask all = all_lanes();
+  // Roots: d announces "d" (length 0) in every lane, the normal one
+  // included; attacker k announces the bogus "m, d" (length 1) over legacy
+  // BGP in lane k only.
+  const Mask all = attacker_lanes() | kNormalLane;
   State& root = st_[d_];
   root.reach_d = root.reach_d_s = all;
   root.secure = origin_secure ? all : 0;  // d signs; cleared in flags_into
@@ -132,8 +133,8 @@ void LanePass::run(const topology::AsGraph& g, AsId d,
                    const Deployment& deployment) {
   const std::size_t n = g.num_ases();
   if (d >= n) throw std::invalid_argument("LanePass: bad destination");
-  if (attackers.empty() || attackers.size() > kLaneWidth) {
-    throw std::invalid_argument("LanePass: a pass takes 1 to 32 attackers");
+  if (attackers.empty() || attackers.size() > kMaxLaneAttackers) {
+    throw std::invalid_argument("LanePass: a pass takes 1 to 31 attackers");
   }
   for (const AsId m : attackers) {
     if (m >= n || m == d) throw std::invalid_argument("LanePass: bad attacker");
@@ -197,6 +198,18 @@ void LanePass::run(const topology::AsGraph& g, AsId d,
 void LanePass::flags_into(std::size_t lane, View view,
                           std::vector<std::uint8_t>& out) const {
   if (lane >= lanes_) throw std::out_of_range("LanePass: no such lane");
+  write_flags(lane, view, out);
+}
+
+void LanePass::normal_flags_into(std::vector<std::uint8_t>& out) const {
+  if (g_ == nullptr) {
+    throw std::logic_error("LanePass::normal_flags_into: no pass has run");
+  }
+  write_flags(kMaxLaneAttackers, View::kDeployment, out);
+}
+
+void LanePass::write_flags(std::size_t lane, View view,
+                           std::vector<std::uint8_t>& out) const {
   const std::vector<State>& states =
       staged_ && view == View::kDeployment ? secure_st_ : st_;
   out.resize(states.size());
@@ -282,7 +295,7 @@ void LanePass::perceivable_into(const topology::AsGraph& g,
 
 void LanePass::classify_second(const topology::AsGraph& g) {
   const std::size_t n = g.num_ases();
-  const Mask all = all_lanes();
+  const Mask all = attacker_lanes();
   // The route class each lane fixed with in the S = emptyset sweep:
   // exporting (origin or customer route), peer, or otherwise provider.
   std::vector<Mask>& exporting = pending_;
@@ -339,7 +352,7 @@ void LanePass::partition(SecurityModel model) {
   }
   const topology::AsGraph& g = *g_;
   const std::size_t n = g.num_ases();
-  const Mask all = all_lanes();
+  const Mask all = attacker_lanes();
   immune_.resize(n);
   doomed_.resize(n);
   origin_.assign(n, 0);
@@ -354,7 +367,7 @@ void LanePass::partition(SecurityModel model) {
       // m_k is removed; immune iff m_k is once d is removed.
       const Entry from_d{d_, all};
       perceivable_into(g, {&from_d, 1}, doomed_);
-      Entry from_m[kLaneWidth];
+      Entry from_m[kMaxLaneAttackers];
       for (std::size_t k = 0; k < lanes_; ++k) {
         from_m[k] = {attackers_[k], Mask{1} << k};
       }

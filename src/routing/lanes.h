@@ -1,5 +1,6 @@
-// Lane-parallel routing: the stable states and partitions of up to 32
-// attackers of one destination in a handful of level-synchronous sweeps.
+// Lane-parallel routing: the stable states and partitions of up to 31
+// attackers of one destination, and its normal state, in a handful of
+// level-synchronous sweeps.
 //
 // A destination-grouped sweep evaluates many attackers against the same d.
 // Every stable state it needs is built from breadth-first searches by path
@@ -22,6 +23,11 @@
 //    candidate. Its reach flags are the OR over that level's candidates.
 //    Under S, a validating AS with a secure candidate keeps only the secure
 //    candidates; a secure candidate reaches d and never m.
+//  * The normal lane. The mask's top bit is reserved for the state with no
+//    attack: d's origin is its only root, so the sweeps that compute the
+//    attacked states under S also compute the normal outcome
+//    {d, kNoAs, model} (normal_flags_into) at the cost of one more bit per
+//    mask operation. Attackers take the other kMaxLaneAttackers lanes.
 //
 // Security 3rd ranks routes by class and length exactly as S = emptyset
 // does, and an unsigned origin disables the secure stages of the other two
@@ -30,8 +36,8 @@
 // engine's order, so the S state gets a sweep of its own before the shared
 // sweep computes S = emptyset. The pass computes no next hops and no route
 // lengths — only the per-AS flag bytes the per-pair analyses read
-// (flags_into), which equal RoutingOutcome::flags_into of
-// compute_routing_into for the same query, on every lane and AS.
+// (flags_into, normal_flags_into), which equal RoutingOutcome::flags_into
+// of compute_routing_into for the same query, on every lane and AS.
 //
 // partition() then classifies every lane's sources as doomed, protectable
 // or immune (security/partition.h) from the S = emptyset sweep: security
@@ -52,8 +58,10 @@
 
 namespace sbgp::routing {
 
-/// Attackers per lane pass: one bit of a 32-bit mask each.
+/// Lanes per pass: one bit of a 32-bit mask each.
 inline constexpr std::size_t kLaneWidth = 32;
+/// Attackers per pass: every lane but the one reserved for the normal state.
+inline constexpr std::size_t kMaxLaneAttackers = kLaneWidth - 1;
 
 /// Reusable lane-parallel routing state for one destination. Not
 /// thread-safe: one per worker (EngineWorkspace::lanes). Buffers grow to
@@ -67,15 +75,16 @@ class LanePass {
   };
 
   /// Computes every lane's stable state for attacker `attackers[k]` on
-  /// destination `d`, under (`model`, `deployment`) and under S = emptyset.
-  /// Throws std::invalid_argument on a bad destination, on 0 or more than
-  /// kLaneWidth attackers, and on an attacker that is out of range or equal
-  /// to d. `g` must outlive the pass's later partition() call.
+  /// destination `d`, and the normal state with no attacker, under
+  /// (`model`, `deployment`) and under S = emptyset. Throws
+  /// std::invalid_argument on a bad destination, on 0 or more than
+  /// kMaxLaneAttackers attackers, and on an attacker that is out of range
+  /// or equal to d. `g` must outlive the pass's later partition() call.
   void run(const topology::AsGraph& g, AsId d,
            std::span<const AsId> attackers, SecurityModel model,
            const Deployment& deployment);
 
-  /// Lanes of the last run().
+  /// Attacker lanes of the last run() (the normal lane not counted).
   [[nodiscard]] std::size_t num_lanes() const noexcept { return lanes_; }
 
   /// Writes lane `lane`'s per-AS flag bytes (routing::kFlag*, engine.h)
@@ -83,6 +92,11 @@ class LanePass {
   /// std::out_of_range if `lane` >= num_lanes().
   void flags_into(std::size_t lane, View view,
                   std::vector<std::uint8_t>& out) const;
+
+  /// Writes the normal lane's per-AS flag bytes under the pass's model and
+  /// deployment into `out`: those of compute_routing_into for
+  /// {d, kNoAs, model}. Throws std::logic_error before the first run().
+  void normal_flags_into(std::vector<std::uint8_t>& out) const;
 
   /// Classifies every AS of every lane of the last run() under `model`
   /// with the standard LP ladder (any ladder for security 1st, which reads
@@ -117,8 +131,9 @@ class LanePass {
   };
   using Levels = std::vector<std::vector<Entry>>;
 
-  /// Resets st_ and the level lists and installs the roots of d_ and
-  /// attackers_; `origin_secure` lets d's lanes seed secure routes.
+  /// Resets st_ and the level lists and installs the roots of d_ (in every
+  /// lane, the normal one included) and attackers_; `origin_secure` lets
+  /// d's lanes seed secure routes.
   void start(bool origin_secure);
   /// One stage over every level: customer routes climb from the exporting
   /// entries, peer routes take one hop sideways off them, provider routes
@@ -136,10 +151,15 @@ class LanePass {
   /// Makes `level` addressable in both lists.
   void add_level(std::size_t level);
   [[nodiscard]] State masked(const Entry& e) const;
-  /// Every lane of the pass.
-  [[nodiscard]] Mask all_lanes() const noexcept {
-    return lanes_ == kLaneWidth ? ~Mask{0} : (Mask{1} << lanes_) - 1;
+  /// The mask bit of the normal lane, reserved above the attacker lanes.
+  static constexpr Mask kNormalLane = Mask{1} << kMaxLaneAttackers;
+  /// The attacker lanes of the pass.
+  [[nodiscard]] Mask attacker_lanes() const noexcept {
+    return (Mask{1} << lanes_) - 1;
   }
+  /// flags_into for any lane, the normal one (kMaxLaneAttackers) included.
+  void write_flags(std::size_t lane, View view,
+                   std::vector<std::uint8_t>& out) const;
 
   /// Lanes of every AS that perceivably reach `roots` (Definition B.1),
   /// written to `reach` (root lanes included): customer routes climb
@@ -167,10 +187,10 @@ class LanePass {
   const topology::AsGraph* g_ = nullptr;    // graph of the last run()
   AsId d_ = kNoAs;
   std::vector<AsId> attackers_;  // attacker of each lane
-  std::size_t lanes_ = 0;
+  std::size_t lanes_ = 0;        // attacker lanes
 
   // Partition masks per AS (lanes immune / doomed; the rest protectable)
-  // and their scratch.
+  // and their scratch. Only the attacker lanes' bits are meaningful.
   std::vector<Mask> immune_;
   std::vector<Mask> doomed_;
   std::vector<Mask> origin_;   // lanes in which the AS is d or m_k

@@ -6,9 +6,6 @@ void EngineWorkspace::reserve(std::size_t num_ases) {
   primary.reset(num_ases);
   normal.reset(num_ases);
   baseline.reset(num_ases);
-  dest_baseline.normal.reset(num_ases);
-  dest_baseline.context = 0;
-  dest_baseline.has_normal = false;
   attacked_flags.reserve(num_ases);
   normal_flags.reserve(num_ases);
   empty_flags.reserve(num_ases);

@@ -22,22 +22,6 @@
 
 namespace sbgp::routing {
 
-/// Attacker-independent per-destination state cached across the pairs of
-/// one destination group (sim/pair_analysis.h's analyze_sweep). Keyed by a
-/// (sweep-context token, destination) pair: the token is minted per sweep
-/// (or per campaign cell), so a stale slot from a previous group, sweep,
-/// deployment or topology can never be mistaken for a hit. Token 0 means
-/// "no caching" and is never a valid key.
-struct DestBaselineSlot {
-  std::uint64_t context = 0;  // sweep-context token; 0 = empty slot
-  AsId destination = kNoAs;
-  bool has_normal = false;
-  /// Outcome of {destination, kNoAs, model} under the sweep's deployment —
-  /// the `normal` outcome every analysis of the group shares, and the
-  /// pre-attack state the hysteresis engine pins routes from.
-  RoutingOutcome normal;
-};
-
 /// Long-lived scratch state for routing computations. Not thread-safe: one
 /// workspace per worker. Buffers grow to the largest graph seen and are
 /// reused (values reset, capacity kept) on every query.
@@ -49,20 +33,19 @@ struct DestBaselineSlot {
 /// analysis:
 ///   - `primary` is the default target (the convenience overloads compute
 ///     into it). Nothing else writes it.
-///   - `normal` is clobbered by compute_routing_with_hysteresis_into's
-///     recomputing overload (pre-attack state); a caller holding its own
-///     pre-attack outcome uses the precomputed-`normal` overload, which
-///     leaves the slot alone.
+///   - `normal` holds the pre-attack state of hysteresis only: the fused
+///     pipeline (sim::accumulate_group_into) computes it there once per
+///     group and passes it to the precomputed-`normal` overload of
+///     compute_routing_with_hysteresis_into, which leaves the slot alone;
+///     the recomputing overload clobbers it. Without hysteresis the normal
+///     outcome comes from the lane pass's normal lane.
 ///   - `baseline` is owned by security::PartitionContext (the S = emptyset
 ///     attacked state of the 2nd/3rd models). The fused pipeline builds one
 ///     only for LP-k partitions under security 2nd/3rd; its other classes
 ///     come from `lanes`.
-///   - `dest_baseline` is owned by the destination-grouped sweep
-///     (sim::accumulate_group_into with a non-zero sweep context); no
-///     engine entry point touches it implicitly.
 ///   - `lanes` holds the lane pass of sim::accumulate_group_into's group —
-///     every attacked state and the partition classes; only that function
-///     runs it.
+///     every attacked state, the normal state and the partition classes;
+///     only that function runs it.
 ///   - The flag views (`attacked_flags`, `normal_flags`, `empty_flags`,
 ///     `signer_flags`) and class views (`partition_classes`,
 ///     `ladder_classes`) hold the per-AS bytes of the pair being counted;
@@ -89,10 +72,6 @@ class EngineWorkspace {
   RoutingOutcome primary;
   RoutingOutcome normal;
   RoutingOutcome baseline;
-
-  /// Attacker-independent per-destination cache for grouped sweeps (see
-  /// DestBaselineSlot above).
-  DestBaselineSlot dest_baseline;
 
   // --- Lane pass and flag views (sim/pair_analysis.h) -------------------
   LanePass lanes;  // every attacked state of one destination group

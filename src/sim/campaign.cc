@@ -46,10 +46,6 @@ struct ActiveCell {
   std::size_t slot = 0;   // the cell's emitter slot in the wave
   std::size_t trial = 0;  // index of its trial among the wave's states
   SweepPlan plan;         // built by its trial's preparation
-  /// Sweep-context token: all pairs of a cell share the trial graph,
-  /// deployment and config, so their per-destination baselines are
-  /// mutually reusable — and never across cells.
-  std::uint64_t token = 0;
 };
 
 }  // namespace
@@ -417,7 +413,7 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
       if (wave_trials.empty() || wave_trials.back() != cell / num_specs) {
         wave_trials.push_back(cell / num_specs);
       }
-      cells.push_back({i, wave_trials.size() - 1, {}, next_sweep_context()});
+      cells.push_back({i, wave_trials.size() - 1, {}});
     }
     const std::size_t num_active = cells.size();
 
@@ -491,8 +487,7 @@ CampaignResult run_campaign(const CampaignSpec& campaign,
       const TrialState& st = states[c.trial];
       const ResolvedExperiment& re = st.resolved[cell % num_specs];
       accumulate_unit_into(st.topo.graph, c.plan, u, re.cfg, *re.deployment,
-                           exec.workspace(worker), c.token,
-                           accs[worker][u.sweep]);
+                           exec.workspace(worker), accs[worker][u.sweep]);
       if (remaining[u.sweep].fetch_sub(1, std::memory_order_acq_rel) != 1) {
         return;
       }

@@ -77,11 +77,11 @@ void accumulate_group_into(const AsGraph& g, AsId d,
                            std::span<const std::uint64_t> weights,
                            const PairAnalysisConfig& cfg,
                            const Deployment& dep, routing::EngineWorkspace& ws,
-                           std::uint64_t sweep_context, PairStats& acc) {
+                           PairStats& acc) {
   if (cfg.analyses.empty()) {
     throw std::invalid_argument("accumulate_group_into: empty analysis set");
   }
-  if (attackers.size() > routing::kLaneWidth) {
+  if (attackers.size() > routing::kMaxLaneAttackers) {
     throw std::invalid_argument(
         "accumulate_group_into: more attackers than lanes");
   }
@@ -117,41 +117,31 @@ void accumulate_group_into(const AsGraph& g, AsId d,
   const bool lane_classes =
       wants_downgrades || (wants_partitions && !ladder_partitions);
 
-  // The normal outcome, from the per-destination cache when a sweep
-  // context is given. A hit requires the exact (token, d) pair; the token
-  // is minted per sweep, so deployments, configs and graphs can never be
-  // confused across calls.
-  const routing::RoutingOutcome* normal = nullptr;
-  if (wants_normal || (wants_attacked && cfg.hysteresis)) {
-    const routing::Query nq{d, routing::kNoAs, cfg.model};
-    routing::DestBaselineSlot& db = ws.dest_baseline;
-    if (sweep_context == 0) {
-      routing::compute_routing_into(g, nq, dep, ws, ws.normal);
-      normal = &ws.normal;
-    } else {
-      if (db.context != sweep_context || db.destination != d ||
-          !db.has_normal) {
-        db.context = sweep_context;
-        db.destination = d;
-        routing::compute_routing_into(g, nq, dep, ws, db.normal);
-        db.has_normal = true;
-      }
-      normal = &db.normal;
-    }
-    if (wants_normal) normal->flags_into(ws.normal_flags);
-  }
   // Collateral and root cause, the analyses that read the S = emptyset
   // state, also read which ASes sign.
   if (wants_empty) dep.signers_into(g.num_ases(), ws.signer_flags);
 
   // One lane pass serves every attacked state but hysteresis — under S and
-  // under S = emptyset — and the partition classes. A pass run only for
-  // the S = emptyset state uses the insecure model.
+  // under S = emptyset — the normal outcome {d, kNoAs, model} in its
+  // reserved lane, and the partition classes. A pass run only for the
+  // S = emptyset state uses the insecure model.
   const bool attacked_in_lanes = wants_attacked && !cfg.hysteresis;
   if (attacked_in_lanes || wants_empty || lane_classes) {
     ws.lanes.run(g, d, attackers,
                  attacked_in_lanes ? cfg.model : SecurityModel::kInsecure, dep);
     if (lane_classes) ws.lanes.partition(cfg.model);
+  }
+  // Hysteresis pins routes of the pre-attack state, so it computes the
+  // normal outcome with the scalar engine, once per group. Otherwise the
+  // analyses that read the normal outcome (downgrades, root causes) also
+  // read the attacked state, so the pass ran under cfg.model and its normal
+  // lane holds it.
+  if (wants_attacked && cfg.hysteresis) {
+    routing::compute_routing_into(g, {d, routing::kNoAs, cfg.model}, dep, ws,
+                                  ws.normal);
+    if (wants_normal) ws.normal.flags_into(ws.normal_flags);
+  } else if (wants_normal) {
+    ws.lanes.normal_flags_into(ws.normal_flags);
   }
 
   for (std::size_t k = 0; k < attackers.size(); ++k) {
@@ -169,9 +159,8 @@ void accumulate_group_into(const AsGraph& g, AsId d,
         ws.lanes.flags_into(k, routing::LanePass::View::kDeployment,
                             ws.attacked_flags);
       } else {
-        // Hysteresis pins routes of the pre-attack state.
         routing::compute_routing_with_hysteresis_into(
-            g, {d, m, cfg.model}, dep, ws, *normal, ws.primary);
+            g, {d, m, cfg.model}, dep, ws, ws.normal, ws.primary);
         ws.primary.flags_into(ws.attacked_flags);
       }
       po.attacked = ws.attacked_flags;
@@ -227,11 +216,11 @@ void accumulate_group_into(const AsGraph& g, AsId d,
 void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
                           const PairAnalysisConfig& cfg, const Deployment& dep,
                           routing::EngineWorkspace& ws,
-                          std::uint64_t sweep_context, std::uint64_t weight,
+                          std::uint64_t /*sweep_context*/, std::uint64_t weight,
                           PairStats& acc) {
   accumulate_group_into(g, d, std::span<const AsId>(&m, 1),
                         std::span<const std::uint64_t>(&weight, 1), cfg, dep,
-                        ws, sweep_context, acc);
+                        ws, acc);
 }
 
 void append_sweep_units(const SweepPlan& plan, std::size_t sweep,
@@ -239,7 +228,7 @@ void append_sweep_units(const SweepPlan& plan, std::size_t sweep,
   for (std::size_t gi = 0; gi < plan.groups.size(); ++gi) {
     const std::size_t count = plan.groups[gi].attackers.size();
     const std::size_t chunks =
-        (count + routing::kLaneWidth - 1) / routing::kLaneWidth;
+        (count + routing::kMaxLaneAttackers - 1) / routing::kMaxLaneAttackers;
     for (std::size_t j = 0; j < chunks; ++j) {
       units.push_back(
           {sweep, gi, count * j / chunks, count * (j + 1) / chunks});
@@ -250,7 +239,7 @@ void append_sweep_units(const SweepPlan& plan, std::size_t sweep,
 void accumulate_unit_into(const AsGraph& g, const SweepPlan& plan,
                           const SweepUnit& unit, const PairAnalysisConfig& cfg,
                           const Deployment& dep, routing::EngineWorkspace& ws,
-                          std::uint64_t sweep_context, PairStats& acc) {
+                          PairStats& acc) {
   const DestinationGroup& grp = plan.groups[unit.group];
   const std::size_t len = unit.end - unit.begin;
   const std::span<const std::uint64_t> weights(grp.weights);
@@ -258,7 +247,7 @@ void accumulate_unit_into(const AsGraph& g, const SweepPlan& plan,
       g, grp.destination,
       std::span<const AsId>(grp.attackers).subspan(unit.begin, len),
       weights.empty() ? weights : weights.subspan(unit.begin, len), cfg, dep,
-      ws, sweep_context, acc);
+      ws, acc);
 }
 
 SweepResult analyze_sweep(const AsGraph& g, const SweepPlan& plan,
@@ -291,7 +280,6 @@ SweepResult analyze_sweep(const AsGraph& g, const SweepPlan& plan,
   BatchExecutor& exec =
       opts.executor != nullptr ? *opts.executor : BatchExecutor::shared();
   const std::size_t workers = exec.effective_workers(opts.threads);
-  const std::uint64_t token = next_sweep_context();
 
   // Per-worker, per-group partials folded in worker order: all counters
   // are integers, so the result is independent of thread count, chunk
@@ -303,7 +291,7 @@ SweepResult analyze_sweep(const AsGraph& g, const SweepPlan& plan,
       [&](std::size_t worker, std::size_t i) {
         const SweepUnit& u = units[i];
         accumulate_unit_into(g, plan, u, cfg, dep, exec.workspace(worker),
-                             token, accs[worker][u.group]);
+                             accs[worker][u.group]);
       },
       workers);
 

@@ -13,15 +13,15 @@
 // Engine computations per pair, all five analyses:
 //   standalone  happiness 1 + partitions 1 + downgrades 3 + collateral 2
 //               + root causes 3 = 10 full engine runs
-//   fused       a share of two per-group computations: the normal outcome
-//               {d, kNoAs, model}, computed once per (destination, worker),
-//               and one lane pass (routing/lanes.h) per chunk of up to 32
-//               attackers, which yields every attacker's attacked state
-//               under S (secure stages included) and under S = emptyset,
-//               and every attacker's partition classes. Per pair, only
-//               hysteresis runs the scalar engine (for the attacked state
-//               under S), and only LP-k partitions under security 2nd/3rd
-//               build a PartitionContext.
+//   fused       a share of one lane pass (routing/lanes.h) per chunk of up
+//               to 31 attackers, which yields every attacker's attacked
+//               state under S (secure stages included) and under
+//               S = emptyset, the normal outcome {d, kNoAs, model} in its
+//               reserved lane, and every attacker's partition classes.
+//               Only hysteresis runs the scalar engine: the normal outcome
+//               once per chunk, and per pair the attacked state under S.
+//               Only LP-k partitions under security 2nd/3rd build a
+//               PartitionContext per pair.
 //
 // The analyses read outcomes as flag views (security/pair_outcomes.h): one
 // byte per AS, filled from a scalar RoutingOutcome or from one lane of the
@@ -30,10 +30,9 @@
 // Scheduling is destination-grouped: a SweepPlan organizes the pairs as
 // DestinationGroup units, and analyze_sweep and run_campaign both split
 // plans with append_sweep_units and hand workers the same SweepUnit — one
-// destination with a chunk of at most routing::kLaneWidth of its
-// attackers, split evenly — through accumulate_unit_into.
-// The normal outcome is cached in the workspace's dest_baseline slot, so
-// chunks of one destination on one worker share it.
+// destination with a chunk of at most routing::kMaxLaneAttackers of its
+// attackers, split evenly — through accumulate_unit_into. Every chunk is
+// self-contained: no state carries over from one unit to the next.
 //
 // Determinism contract: PairStats is all integers, so per-worker partials
 // merge to bit-for-bit identical totals for any thread count (see
@@ -225,40 +224,35 @@ struct SweepPlan {
                                         const TrafficModel& traffic);
 
 /// Mints a fresh sweep-context token (process-wide, never 0, never
-/// reused). Pass it to accumulate_group_into for every group of one
-/// (deployment, config, destination-grouped) sweep to activate the
-/// per-destination normal-outcome cache in the workspace's dest_baseline
-/// slot; analyze_sweep and the campaign scheduler do this internally.
+/// reused). accumulate_pair_into's token-taking overload ignores it; both
+/// remain only for the benchmark's traced replay (benchmark/sbgp_bench.cc)
+/// and go with it.
 [[nodiscard]] std::uint64_t next_sweep_context();
 
 /// Runs every selected analysis for each pair (attackers[k] on d), computing
-/// the group's outcomes into `ws` — the normal outcome once, every attacked
-/// state the lane pass admits in one pass — and adds the results to `acc`.
+/// the group's outcomes into `ws` — every attacked state the lane pass
+/// admits, and the normal outcome, in one pass — and adds the results to
+/// `acc`.
 /// Pair k contributes `weights[k]` copies of its counts to the w_* mirrors
 /// (and to acc.weight); an empty `weights` means weight 1 for every pair,
 /// where the mirrors equal the unweighted counters.
 ///
-/// Requires a non-empty analysis set, at most routing::kLaneWidth
+/// Requires a non-empty analysis set, at most routing::kMaxLaneAttackers
 /// attackers, none equal to d, `weights` empty or parallel to `attackers`,
 /// and no partition or downgrade analysis under SecurityModel::kInsecure
 /// (throws std::invalid_argument otherwise). An empty attacker list adds
-/// nothing.
-///
-/// `sweep_context` controls the per-destination cache of the normal
-/// outcome in ws.dest_baseline: 0 disables it; a token from
-/// next_sweep_context() lets consecutive calls with the same (token, d)
-/// reuse it. The caller must mint a fresh token whenever the graph,
-/// deployment or config changes; results are bit-for-bit identical either
-/// way, and independent of how a destination's attackers are chunked.
+/// nothing. Results are bit-for-bit independent of how a destination's
+/// attackers are chunked.
 void accumulate_group_into(const AsGraph& g, AsId d,
                            std::span<const AsId> attackers,
                            std::span<const std::uint64_t> weights,
                            const PairAnalysisConfig& cfg,
                            const Deployment& dep, routing::EngineWorkspace& ws,
-                           std::uint64_t sweep_context, PairStats& acc);
+                           PairStats& acc);
 
 /// The single pair (m on d) with traffic weight `weight`: a group of one
-/// (accumulate_group_into). Throws std::invalid_argument if d == m or the
+/// (accumulate_group_into). `sweep_context` is ignored (see
+/// next_sweep_context). Throws std::invalid_argument if d == m or the
 /// analysis set is empty.
 void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
                           const PairAnalysisConfig& cfg, const Deployment& dep,
@@ -267,15 +261,6 @@ void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
                           PairStats& acc);
 
 /// Unit-weight overload.
-inline void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
-                                 const PairAnalysisConfig& cfg,
-                                 const Deployment& dep,
-                                 routing::EngineWorkspace& ws,
-                                 std::uint64_t sweep_context, PairStats& acc) {
-  accumulate_pair_into(g, d, m, cfg, dep, ws, sweep_context, 1, acc);
-}
-
-/// Uncached convenience overload (sweep_context = 0, weight 1).
 inline void accumulate_pair_into(const AsGraph& g, AsId d, AsId m,
                                  const PairAnalysisConfig& cfg,
                                  const Deployment& dep,
@@ -296,8 +281,8 @@ struct SweepUnit {
 };
 
 /// Appends `plan`'s units, tagged `sweep`, to `units`: each group split
-/// into as few chunks of at most routing::kLaneWidth attackers as it
-/// needs, evenly so the chunks of a group cost alike, in group order.
+/// into as few chunks of at most routing::kMaxLaneAttackers attackers as
+/// it needs, evenly so the chunks of a group cost alike, in group order.
 /// Attacker-less groups add no unit.
 void append_sweep_units(const SweepPlan& plan, std::size_t sweep,
                         std::vector<SweepUnit>& units);
@@ -307,7 +292,7 @@ void append_sweep_units(const SweepPlan& plan, std::size_t sweep,
 void accumulate_unit_into(const AsGraph& g, const SweepPlan& plan,
                           const SweepUnit& unit, const PairAnalysisConfig& cfg,
                           const Deployment& dep, routing::EngineWorkspace& ws,
-                          std::uint64_t sweep_context, PairStats& acc);
+                          PairStats& acc);
 
 /// Worker cap / executor choice for a batch call (shared by the fused
 /// pipeline, the experiment suite and the campaign driver).

@@ -18,6 +18,7 @@
 #include "security/happiness.h"
 #include "security/partition.h"
 #include "security/rootcause.h"
+#include "sim/batch_executor.h"
 #include "sim/campaign.h"
 #include "sim/experiment.h"
 #include "sim/pair_analysis.h"
@@ -329,11 +330,14 @@ void add_weighted(PairStats& acc, const PairStats& one, std::uint64_t w) {
 }
 
 TEST(LaneGroups, SweepAndCampaignMatchStandaloneAnalyses) {
-  // Groups of 1, 31, 32, 33 and 40 attackers cover one lane, a partly
-  // filled pass, a full one, and chunks split across two passes.
+  // Groups of 1, 31, 32, 33 and 40 attackers cover one lane, a full pass
+  // (31 attackers and the normal lane), and groups split across two
+  // passes, whose chunks may run on different workers: hysteresis
+  // computes its normal outcome once per chunk.
   const TrafficModel gravity = parse_traffic_model("gravity,seed=7");
   const auto topo = topology::generate_trial("tiny-500", 5, 0);
   const auto tiers = topo.classify();
+  BatchExecutor exec(4);
   for (const auto model :
        {SecurityModel::kInsecure, SecurityModel::kSecurityFirst,
         SecurityModel::kSecuritySecond, SecurityModel::kSecurityThird}) {
@@ -381,20 +385,24 @@ TEST(LaneGroups, SweepAndCampaignMatchStandaloneAnalyses) {
             total += expected[gi];
           }
 
-          const SweepResult sweep =
-              analyze_sweep(topo.graph, plan, re.cfg, *re.deployment);
-          EXPECT_EQ(sweep.per_destination, expected);
-          EXPECT_EQ(sweep.total, total);
-
           CampaignSpec campaign;
           campaign.topology = "tiny-500";
           campaign.trials = 1;
           campaign.seed = 5;
           campaign.experiments.push_back(spec);
           campaign.experiments.back().traffic = traffic;
-          const CampaignResult cell = run_campaign(campaign);
-          ASSERT_EQ(cell.trial_rows.size(), 1u);
-          EXPECT_EQ(cell.trial_rows[0].row.stats, total);
+          for (const std::size_t threads : {1u, 4u}) {
+            SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+            const SweepResult sweep = analyze_sweep(
+                topo.graph, plan, re.cfg, *re.deployment, {threads, &exec});
+            EXPECT_EQ(sweep.per_destination, expected);
+            EXPECT_EQ(sweep.total, total);
+
+            const CampaignResult cell =
+                run_campaign(campaign, {threads, &exec});
+            ASSERT_EQ(cell.trial_rows.size(), 1u);
+            EXPECT_EQ(cell.trial_rows[0].row.stats, total);
+          }
         }
       }
     }
@@ -402,6 +410,40 @@ TEST(LaneGroups, SweepAndCampaignMatchStandaloneAnalyses) {
 }
 
 // --- sweep plans -------------------------------------------------------------
+
+TEST(SweepPlanTest, UnitsHoldAtMostOnePassOfAttackers) {
+  // A pass takes kMaxLaneAttackers = 31 attackers; a group splits into as
+  // few contiguous chunks as that allows, with sizes differing by at most 1.
+  ASSERT_EQ(routing::kMaxLaneAttackers, 31u);
+  for (const std::size_t count : {1u, 31u, 32u, 62u, 63u}) {
+    SCOPED_TRACE(::testing::Message() << count << " attackers");
+    SweepPlan plan;
+    DestinationGroup grp;
+    grp.destination = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+      grp.attackers.push_back(static_cast<AsId>(k + 1));
+    }
+    plan.groups.push_back(grp);
+    std::vector<SweepUnit> units;
+    append_sweep_units(plan, 3, units);
+    ASSERT_EQ(units.size(), (count + 30) / 31);
+    std::size_t next = 0;
+    std::size_t smallest = count;
+    std::size_t largest = 0;
+    for (const SweepUnit& u : units) {
+      EXPECT_EQ(u.sweep, 3u);
+      EXPECT_EQ(u.group, 0u);
+      EXPECT_EQ(u.begin, next);
+      ASSERT_GT(u.end, u.begin);
+      EXPECT_LE(u.end - u.begin, 31u);
+      smallest = std::min(smallest, u.end - u.begin);
+      largest = std::max(largest, u.end - u.begin);
+      next = u.end;
+    }
+    EXPECT_EQ(next, count);
+    EXPECT_LE(largest - smallest, 1u);
+  }
+}
 
 TEST(SweepPlanTest, GroupsByDestinationAndSkipsSelfAttacks) {
   const std::vector<AsId> attackers = {1, 2, 3};
@@ -518,22 +560,24 @@ TEST(AttackPairs, AccumulatePairRejectsBadInputs) {
                                     acc),
                std::invalid_argument);
 
-  // Groups: more attackers than lanes, mismatched weights, a self-attack.
+  // Groups: more attackers than a pass has attacker lanes (32, one lane
+  // being the normal state's), mismatched weights, a self-attack.
   const Deployment dep(topo.graph.num_ases());
   std::vector<AsId> attackers;
-  for (AsId m = 10; m < 10 + routing::kLaneWidth + 1; ++m) {
+  for (AsId m = 10; m < 10 + routing::kMaxLaneAttackers + 1; ++m) {
     attackers.push_back(m);
   }
+  ASSERT_EQ(attackers.size(), 32u);
   EXPECT_THROW(accumulate_group_into(topo.graph, 7, attackers, {}, cfg, dep,
-                                     ws, 0, acc),
+                                     ws, acc),
                std::invalid_argument);
   const std::span<const AsId> two(attackers.data(), 2);
   const std::vector<std::uint64_t> one_weight = {3};
   EXPECT_THROW(accumulate_group_into(topo.graph, 7, two, one_weight, cfg,
-                                     dep, ws, 0, acc),
+                                     dep, ws, acc),
                std::invalid_argument);
   const std::vector<AsId> self = {8, 7};
-  EXPECT_THROW(accumulate_group_into(topo.graph, 7, self, {}, cfg, dep, ws, 0,
+  EXPECT_THROW(accumulate_group_into(topo.graph, 7, self, {}, cfg, dep, ws,
                                      acc),
                std::invalid_argument);
   // Partitions and downgrades under the insecure model, even with no
@@ -543,7 +587,7 @@ TEST(AttackPairs, AccumulatePairRejectsBadInputs) {
     insecure.analyses = a;
     insecure.model = SecurityModel::kInsecure;
     const auto run = [&] {
-      accumulate_group_into(topo.graph, 7, {}, {}, insecure, dep, ws, 0, acc);
+      accumulate_group_into(topo.graph, 7, {}, {}, insecure, dep, ws, acc);
     };
     EXPECT_THROW(run(), std::invalid_argument);
   }

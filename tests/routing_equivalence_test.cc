@@ -408,7 +408,7 @@ std::pair<Deployment, Deployment> signed_and_unsigned(const Deployment& dep,
   return {std::move(signed_dep), std::move(unsigned_dep)};
 }
 
-/// Lane counts 1, 5, 31 and 32 on d (at most |V| - 1), under insecure BGP
+/// Lane counts 1, 5, 30 and 31 on d (at most |V| - 1), under insecure BGP
 /// and under each S*BGP model with d signing (secure stages for security
 /// 1st/2nd) and not signing.
 void check_lane_pass(const AsGraph& g, AsId d, const Deployment& dep,
@@ -416,7 +416,7 @@ void check_lane_pass(const AsGraph& g, AsId d, const Deployment& dep,
   const auto n = static_cast<std::uint32_t>(g.num_ases());
   const auto [signed_dep, unsigned_dep] = signed_and_unsigned(dep, d);
   EngineWorkspace ws(n);
-  for (const std::size_t lanes : {1u, 5u, 31u, 32u}) {
+  for (const std::size_t lanes : {1u, 5u, 30u, 31u}) {
     const auto attackers =
         lane_attackers(g, d, std::min<std::size_t>(lanes, n - 1), rng);
     expect_lanes_match_scalar(g, d, attackers, SecurityModel::kInsecure, dep,
@@ -429,14 +429,14 @@ void check_lane_pass(const AsGraph& g, AsId d, const Deployment& dep,
   }
 }
 
-/// The partition classes of lane counts 1, 5, 31 and 32 on d, from passes
+/// The partition classes of lane counts 1, 5, 30 and 31 on d, from passes
 /// under each S*BGP model with d signing and not signing.
 void check_lane_partitions(const AsGraph& g, AsId d, const Deployment& dep,
                            util::Rng& rng) {
   const auto n = static_cast<std::uint32_t>(g.num_ases());
   const auto [signed_dep, unsigned_dep] = signed_and_unsigned(dep, d);
   EngineWorkspace ws(n);
-  for (const std::size_t lanes : {1u, 5u, 31u, 32u}) {
+  for (const std::size_t lanes : {1u, 5u, 30u, 31u}) {
     const auto attackers =
         lane_attackers(g, d, std::min<std::size_t>(lanes, n - 1), rng);
     for (const SecurityModel model : kAllSecurityModels) {
@@ -491,6 +491,60 @@ TEST(LanePass, PartitionsMatchScalarOnTiny500) {
   }
 }
 
+/// The normal lane's flag bytes of passes with 1, 5 and 31 attackers on d
+/// must equal the scalar engine's for {d, kNoAs, model}, under insecure BGP
+/// and under each S*BGP model with d signing and not signing.
+void check_normal_lane(const AsGraph& g, AsId d, const Deployment& dep,
+                       util::Rng& rng) {
+  const auto n = static_cast<std::uint32_t>(g.num_ases());
+  const auto [signed_dep, unsigned_dep] = signed_and_unsigned(dep, d);
+  EngineWorkspace ws(n);
+  LanePass pass;
+  std::vector<std::uint8_t> lane;
+  std::vector<std::uint8_t> scalar;
+  for (const std::size_t lanes : {1u, 5u, 31u}) {
+    const auto attackers =
+        lane_attackers(g, d, std::min<std::size_t>(lanes, n - 1), rng);
+    for (const SecurityModel model :
+         {SecurityModel::kInsecure, SecurityModel::kSecurityFirst,
+          SecurityModel::kSecuritySecond, SecurityModel::kSecurityThird}) {
+      for (const Deployment* s : {&signed_dep, &unsigned_dep}) {
+        SCOPED_TRACE(::testing::Message()
+                     << to_string(model) << " d=" << d
+                     << (s == &signed_dep ? " signed" : " unsigned")
+                     << " lanes " << attackers.size());
+        pass.run(g, d, attackers, model, *s);
+        pass.normal_flags_into(lane);
+        compute_routing_into(g, {d, kNoAs, model}, *s, ws, ws.primary);
+        ws.primary.flags_into(scalar);
+        ASSERT_EQ(lane, scalar);
+      }
+    }
+  }
+}
+
+TEST_P(EquivalenceTest, NormalLaneMatchesScalarOnRandomGraphs) {
+  const auto [n, seed] = GetParam();
+  util::Rng rng(seed + 6464);
+  const AsGraph g = random_gr_graph(n, rng);
+  for (int trial = 0; trial < 3; ++trial) {
+    const auto d = static_cast<AsId>(rng.next_below(n));
+    const Deployment dep = random_deployment(n, 0.45, rng);
+    check_normal_lane(g, d, dep, rng);
+  }
+}
+
+TEST(LanePass, NormalLaneMatchesScalar) {
+  const auto topo = topology::generate_trial("tiny-500", 20130812, 0);
+  const auto n = static_cast<std::uint32_t>(topo.graph.num_ases());
+  util::Rng rng(79);
+  for (int trial = 0; trial < 4; ++trial) {
+    const auto d = static_cast<AsId>(rng.next_below(n));
+    const Deployment dep = random_deployment(n, 0.4, rng);
+    check_normal_lane(topo.graph, d, dep, rng);
+  }
+}
+
 TEST(LanePass, RejectsMalformedGroups) {
   util::Rng rng(6);
   const AsGraph g = random_gr_graph(60, rng);
@@ -498,13 +552,17 @@ TEST(LanePass, RejectsMalformedGroups) {
   dep.secure.insert(3);
   LanePass pass;
   const std::vector<AsId> one = {4};
-  // Partitions before any pass.
+  // Partitions and the normal lane before any pass.
   EXPECT_THROW(pass.partition(SecurityModel::kSecurityThird), std::logic_error);
-  // Zero or more than kLaneWidth attackers.
+  std::vector<std::uint8_t> normal;
+  EXPECT_THROW(pass.normal_flags_into(normal), std::logic_error);
+  // Zero or more than kMaxLaneAttackers attackers: 32 fill every lane,
+  // the normal lane's included.
   EXPECT_THROW(pass.run(g, 3, {}, SecurityModel::kInsecure, dep),
                std::invalid_argument);
   std::vector<AsId> too_many;
-  for (AsId v = 10; v < 10 + kLaneWidth + 1; ++v) too_many.push_back(v);
+  for (AsId v = 10; v < 10 + kLaneWidth; ++v) too_many.push_back(v);
+  ASSERT_EQ(too_many.size(), kMaxLaneAttackers + 1);
   EXPECT_THROW(pass.run(g, 3, too_many, SecurityModel::kInsecure, dep),
                std::invalid_argument);
   // Attacker == destination, or out of range; bad destination.
