@@ -1,9 +1,7 @@
 #include "util/csv.h"
 
-#include <cerrno>
 #include <charconv>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -85,12 +83,15 @@ std::string format_double(double v) {
 }
 
 double parse_double(std::string_view field) {
-  const std::string s(field);
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE) {
-    throw std::invalid_argument("parse_double: bad field '" + s + "'");
+  // Unlike strtod, from_chars takes no leading whitespace, no '+' and no
+  // hexadecimal form.
+  double v = 0;
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] =
+      std::from_chars(field.data(), end, v, std::chars_format::general);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("parse_double: bad field '" +
+                                std::string(field) + "'");
   }
   return v;
 }

@@ -33,8 +33,10 @@ namespace sbgp::util {
 /// result with strtod yields the identical double.
 [[nodiscard]] std::string format_double(double v);
 
-/// Parses a double field; throws std::invalid_argument when `field` is not
-/// fully consumed by the parse.
+/// Parses a decimal double field (std::from_chars, general format): the
+/// whole field consumed, no leading whitespace, no '+' sign, no hexadecimal
+/// form. Throws std::invalid_argument otherwise, including on an empty
+/// field or a value outside double's range.
 [[nodiscard]] double parse_double(std::string_view field);
 /// Parses an unsigned decimal field: ASCII digits only, the whole field
 /// consumed, no sign or whitespace. Throws std::invalid_argument otherwise,

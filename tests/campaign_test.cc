@@ -17,6 +17,7 @@
 #include "sim/experiment.h"
 #include "sim/traffic.h"
 #include "topology/registry.h"
+#include "util/csv.h"
 
 namespace sbgp::sim {
 namespace {
@@ -379,6 +380,34 @@ TEST(Campaign, ReadersRejectMalformedInput) {
   EXPECT_THROW((void)read_trial_rows_json(bad_json), std::invalid_argument);
   std::istringstream truncated("[{\"topology\": \"x\"");
   EXPECT_THROW((void)read_trial_rows_json(truncated), std::invalid_argument);
+}
+
+TEST(Campaign, AggregatedCsvReaderRejectsPaddedNumbers) {
+  // The metric cells are plain decimals: padding or a '+' sign is rejected,
+  // as it is in the count cells.
+  const CampaignResult result = run_campaign(small_campaign(2));
+  std::ostringstream csv;
+  write_campaign_rows_csv(csv, result.rows);
+  const std::string text = csv.str();
+  const std::size_t row_begin = text.find('\n') + 1;
+  const std::size_t row_end = text.find('\n', row_begin);
+  ASSERT_NE(row_end, std::string::npos);
+  std::vector<std::string> fields =
+      util::split_csv_line(text.substr(row_begin, row_end - row_begin));
+  const std::size_t metric = 6;  // the first metric's mean
+  ASSERT_GT(fields.size(), metric);
+  const std::string value = fields[metric];
+  for (const std::string& bad : {" " + value, value + " ", "+" + value}) {
+    fields[metric] = bad;
+    std::istringstream in(text.substr(0, row_begin) + util::csv_line(fields) +
+                          text.substr(row_end));
+    EXPECT_THROW((void)read_campaign_rows_csv(in), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  fields[metric] = value;
+  std::istringstream in(text.substr(0, row_begin) + util::csv_line(fields) +
+                        text.substr(row_end));
+  EXPECT_EQ(read_campaign_rows_csv(in), result.rows);
 }
 
 TEST(Campaign, AggregationComputesMeanStderrMinMax) {

@@ -340,6 +340,18 @@ TEST(Csv, DoubleFormattingRoundTripsExactly) {
   EXPECT_THROW((void)parse_double(""), std::invalid_argument);
 }
 
+TEST(Csv, ParseDoubleRejectsPaddingAndSigns) {
+  EXPECT_EQ(parse_double("1.5"), 1.5);
+  EXPECT_EQ(parse_double("-1.5"), -1.5);
+  EXPECT_EQ(parse_double("1e-3"), 1e-3);
+  // Whitespace, a '+' sign, a hexadecimal form and values outside double's
+  // range are rejected: strtod would read " 1.5" and "+1.5" as 1.5, and
+  // "0x10" as 16.
+  for (const char* bad : {" 1.5", "+1.5", "1.5 ", "0x10", "1e999", "1e-400"}) {
+    EXPECT_THROW((void)parse_double(bad), std::invalid_argument) << bad;
+  }
+}
+
 TEST(Csv, ParseU64AcceptsPlainDigitsOnly) {
   EXPECT_EQ(parse_u64("0"), 0u);
   EXPECT_EQ(parse_u64("007"), 7u);
