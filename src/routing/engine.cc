@@ -130,12 +130,15 @@ struct Candidates {
 /// FCR / FSCR: customer routes propagate from the roots up the
 /// customer->provider hierarchy; shortest are fixed first (Appendix B.2).
 /// With `secure_only`, only validating ASes and fully secure routes take
-/// part (FSCR). Pop order within one length is free: every candidate of a
+/// part (FSCR). Routes longer than `cap` are left for a later stage (the
+/// LP-k ladder). Pop order within one length is free: every candidate of a
 /// length-len route has length len-1, so it was fixed in an earlier bucket.
-void customer_stage(Ctx& ctx, bool secure_only) {
+void customer_stage(Ctx& ctx, bool secure_only,
+                    std::uint32_t cap = kNoRouteLength) {
   BucketQueue& heap = ctx.frontier;
   heap.clear();
   const auto push_providers = [&](AsId u) {
+    if (ctx.out.length(u) + 1u > cap) return;
     for (const AsId p : ctx.g.providers(u)) {
       if (ctx.fixed[p]) continue;
       if (secure_only && !ctx.validates(p)) continue;
@@ -166,8 +169,10 @@ void customer_stage(Ctx& ctx, bool secure_only) {
 
 /// FPeeR / FSPeeR: peer routes are only ever learned from neighbors that
 /// hold customer routes (or originate), so a single sweep suffices — peer
-/// routes never enable further peer routes (Appendix B.2).
-void peer_stage(Ctx& ctx, bool secure_only) {
+/// routes never enable further peer routes (Appendix B.2). Candidates
+/// longer than `cap` are ignored (the LP-k ladder).
+void peer_stage(Ctx& ctx, bool secure_only,
+                std::uint32_t cap = kNoRouteLength) {
   for (AsId v = 0; v < ctx.g.num_ases(); ++v) {
     if (ctx.fixed[v]) continue;
     if (secure_only && !ctx.validates(v)) continue;
@@ -178,6 +183,7 @@ void peer_stage(Ctx& ctx, bool secure_only) {
     for (const AsId u : ctx.g.peers(v)) {
       if (!ctx.fixed[u] || !ctx.exports_up(u)) continue;
       const std::uint32_t len = ctx.out.length(u) + 1u;
+      if (len > cap) continue;
       const bool secure = ctx.validates(v) && ctx.secure_source(u);
       if (secure_only && !secure) continue;
       best_len = std::min(best_len, len);
@@ -268,13 +274,22 @@ std::vector<AsId> RoutingOutcome::representative_path(
 namespace {
 
 /// Runs the model's stage pipeline over whatever is already fixed in ctx.
-void run_stages(Ctx& ctx, const Query& q, const Deployment& deployment) {
+/// `lp_k` is the LP-k ladder's k (0 for the standard ladder; kInsecure only).
+void run_stages(Ctx& ctx, const Query& q, const Deployment& deployment,
+                std::uint32_t lp_k = 0) {
   const bool secure_routes_possible =
       q.model != SecurityModel::kInsecure &&
       deployment.signs_origin(q.destination);
 
   switch (q.model) {
     case SecurityModel::kInsecure:
+      // Appendix K's ladder: cust(1), peer(1), ..., cust(k), peer(k), then
+      // the usual stages fix cust(>k), peer(>k) and providers.
+      for (std::uint32_t l = 1; l <= lp_k; ++l) {
+        customer_stage(ctx, /*secure_only=*/false, /*cap=*/l);
+        peer_stage(ctx, /*secure_only=*/false, /*cap=*/l);
+      }
+      [[fallthrough]];
     case SecurityModel::kSecurityThird:
       customer_stage(ctx, /*secure_only=*/false);
       peer_stage(ctx, /*secure_only=*/false);
@@ -304,13 +319,19 @@ void run_stages(Ctx& ctx, const Query& q, const Deployment& deployment) {
 /// 0); the attacker announces the bogus one-hop-longer "m, d" via legacy
 /// BGP (length 1), Section 3.1.
 Ctx make_context(const AsGraph& g, const Query& q, const Deployment& deployment,
-                 EngineWorkspace& ws, RoutingOutcome& result) {
+                 EngineWorkspace& ws, RoutingOutcome& result,
+                 LocalPrefPolicy lp = LocalPrefPolicy::standard()) {
   const std::size_t n = g.num_ases();
   if (q.destination >= n) {
     throw std::invalid_argument("compute_routing: bad destination");
   }
   if (q.attacker != kNoAs && (q.attacker >= n || q.attacker == q.destination)) {
     throw std::invalid_argument("compute_routing: bad attacker");
+  }
+  if (lp.kind != LocalPrefPolicy::Kind::kStandard &&
+      q.model != SecurityModel::kInsecure) {
+    throw std::invalid_argument(
+        "compute_routing: an LP-k ladder needs the insecure model");
   }
   Ctx ctx(g, deployment, q.model, q.destination, q.attacker, ws, result);
   ctx.out.fix(q.destination, RouteType::kOrigin, 0, /*reach_d=*/true,
@@ -328,9 +349,10 @@ Ctx make_context(const AsGraph& g, const Query& q, const Deployment& deployment,
 
 void compute_routing_into(const AsGraph& g, const Query& q,
                           const Deployment& deployment, EngineWorkspace& ws,
-                          RoutingOutcome& result) {
-  Ctx ctx = make_context(g, q, deployment, ws, result);
-  run_stages(ctx, q, deployment);
+                          RoutingOutcome& result, LocalPrefPolicy lp) {
+  Ctx ctx = make_context(g, q, deployment, ws, result, lp);
+  run_stages(ctx, q, deployment,
+             lp.kind == LocalPrefPolicy::Kind::kLpK ? lp.k : 0u);
 }
 
 const RoutingOutcome& compute_routing(const AsGraph& g, const Query& q,

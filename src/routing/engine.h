@@ -9,6 +9,8 @@
 //   baseline / security 3rd:  FCR -> FPeeR -> FPrvR
 //   security 2nd:             FSCR -> FCR -> FPeeR -> FSPrvR -> FPrvR
 //   security 1st:             FSCR -> FSPeeR -> FSPrvR -> FCR -> FPeeR -> FPrvR
+//   baseline, LP-k ladder:    (FCR <= l -> FPeeR <= l for l = 1..k) -> FCR
+//                             -> FPeeR -> FPrvR
 //
 // where the FS* stages propagate fully-secure routes among validating ASes
 // only. Each AS ends with its route's relationship class, length, security,
@@ -171,9 +173,8 @@ class RoutingOutcome {
 
 /// Computes the stable routing outcome. Preconditions: destination valid;
 /// attacker != destination (or kNoAs); model kInsecure ignores `deployment`.
-/// Only the standard LP policy is supported here (the LPk variant of
-/// Appendix K is handled by the reference simulator and the partition
-/// analysis). Throws std::invalid_argument on bad queries.
+/// Uses the standard LP ladder; compute_routing_into also takes Appendix K's
+/// LP-k ladder. Throws std::invalid_argument on bad queries.
 [[nodiscard]] RoutingOutcome compute_routing(const AsGraph& g, const Query& q,
                                              const Deployment& deployment);
 
@@ -199,9 +200,18 @@ class EngineWorkspace;
 /// Computes the stable routing outcome into `result`, using ws.fixed and
 /// ws.frontier as scratch. `result` is typically one of ws's outcome slots
 /// and must not alias a slot the caller still needs.
+///
+/// `lp` selects the local-preference ladder. Under Appendix K's LP-k ladder
+/// the FCR and FPeeR stages first run once per length l = 1..k, capped at
+/// l, so cust(1), peer(1), ..., cust(k), peer(k) fix in rung order before
+/// the usual FCR -> FPeeR -> FPrvR; the standard ladder is k = 0. An LP-k
+/// ladder is defined for the insecure model only (the S = emptyset state of
+/// security::PartitionContext): any other model throws
+/// std::invalid_argument.
 void compute_routing_into(const AsGraph& g, const Query& q,
                           const Deployment& deployment, EngineWorkspace& ws,
-                          RoutingOutcome& result);
+                          RoutingOutcome& result,
+                          LocalPrefPolicy lp = LocalPrefPolicy::standard());
 
 /// Convenience: computes into ws.primary and returns it.
 const RoutingOutcome& compute_routing(const AsGraph& g, const Query& q,

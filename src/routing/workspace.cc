@@ -11,7 +11,6 @@ void EngineWorkspace::reserve(std::size_t num_ases) {
   empty_flags.reserve(num_ases);
   signer_flags.reserve(num_ases);
   fixed.reserve(num_ases);
-  candidates.reserve(64);
   reach_d.customer.reserve(num_ases);
   reach_d.peer.reserve(num_ases);
   reach_d.provider.reserve(num_ases);

@@ -5,9 +5,9 @@
 // shape every time: a handful of per-AS vectors and a frontier queue. An
 // EngineWorkspace owns that state across queries so a long-lived worker
 // (sim::BatchExecutor) allocates it once and every subsequent query only
-// re-initializes values, never memory. The engine, baseline and
-// reachability entry points all have workspace-taking variants; the
-// original allocating signatures remain as thin wrappers.
+// re-initializes values, never memory. The engine and reachability entry
+// points both have workspace-taking variants; the original allocating
+// signatures remain as thin wrappers.
 #ifndef SBGP_ROUTING_WORKSPACE_H
 #define SBGP_ROUTING_WORKSPACE_H
 
@@ -39,10 +39,11 @@ namespace sbgp::routing {
 ///     compute_routing_with_hysteresis_into, which leaves the slot alone;
 ///     the recomputing overload clobbers it. Without hysteresis the normal
 ///     outcome comes from the lane pass's normal lane.
-///   - `baseline` is owned by security::PartitionContext (the S = emptyset
-///     attacked state of the 2nd/3rd models). The fused pipeline builds one
-///     only for LP-k partitions under security 2nd/3rd; its other classes
-///     come from `lanes`.
+///   - `baseline` is owned by security::PartitionContext: the S = emptyset
+///     attacked state of the 2nd/3rd models, which it fills with
+///     compute_routing_into under its LP ladder. The fused pipeline builds
+///     one only for LP-k partitions under security 2nd/3rd; its other
+///     classes come from `lanes`.
 ///   - `lanes` holds the lane pass of sim::accumulate_group_into's group —
 ///     every attacked state, the normal state and the partition classes;
 ///     only that function runs it.
@@ -53,7 +54,7 @@ namespace sbgp::routing {
 ///     before counting.
 ///   - A `result` argument passed to any *_into entry point must not alias
 ///     a slot the same call reads or clobbers (asserted where cheap).
-/// Scratch members (`fixed`, `frontier`, `candidates`, `reach_*`) are
+/// Scratch members (`fixed`, `frontier`, `reach_*`) are
 /// invalidated by every compute call; no caller may hold state in them
 /// across engine entry points.
 class EngineWorkspace {
@@ -87,7 +88,6 @@ class EngineWorkspace {
   // --- Staged-BFS engine scratch ---------------------------------------
   std::vector<std::uint8_t> fixed;  // per-AS "route fixed" flags
   BucketQueue frontier;             // stage frontier (bucket queue)
-  std::vector<AsId> candidates;     // tie-set candidate buffer (baseline)
 
   // --- Perceivable-reachability scratch (security::PartitionContext) ----
   // Security 1st's exclusion distances; the fused pipeline's lane classes

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "routing/baseline.h"
 #include "routing/workspace.h"
 
 namespace sbgp::security {
@@ -29,7 +28,8 @@ PartitionContext::PartitionContext(const AsGraph& g, AsId d, AsId m,
   } else {
     // Security 2nd/3rd both classify off the S = emptyset stable state
     // (Appendix E.1/E.2); see classify() for the per-model reading.
-    routing::compute_baseline_into(g, d, m, lp, ws, ws.baseline);
+    routing::compute_routing_into(g, {d, m, SecurityModel::kInsecure}, {}, ws,
+                                  ws.baseline, lp);
     base_ = &ws.baseline;
   }
 }

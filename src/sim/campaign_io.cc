@@ -496,9 +496,16 @@ JsonValue parse_stream(std::istream& is) {
   return v;
 }
 
-std::string read_line(std::istream& is, bool& ok) {
+/// Reads one line; `ok` is false at the end of input. Every writer ends
+/// every line with '\n', so a line cut off by the end of input is a
+/// truncated file (a torn cache copy) and throws, naming `reader`.
+std::string read_line(std::istream& is, bool& ok, const char* reader) {
   std::string line;
   ok = static_cast<bool>(std::getline(is, line));
+  if (ok && is.eof()) {
+    throw std::invalid_argument(std::string(reader) +
+                                ": truncated line (no final newline)");
+  }
   if (ok && !line.empty() && line.back() == '\r') line.pop_back();
   return line;
 }
@@ -576,7 +583,7 @@ void write_trial_rows_csv(std::ostream& os,
 
 std::vector<CampaignTrialRow> read_trial_rows_csv(std::istream& is) {
   bool ok = false;
-  const std::string header = read_line(is, ok);
+  const std::string header = read_line(is, ok, "read_trial_rows_csv");
   if (!ok) {
     throw std::invalid_argument("read_trial_rows_csv: empty input");
   }
@@ -589,7 +596,7 @@ std::vector<CampaignTrialRow> read_trial_rows_csv(std::istream& is) {
   }
   std::vector<CampaignTrialRow> rows;
   for (;;) {
-    const std::string line = read_line(is, ok);
+    const std::string line = read_line(is, ok, "read_trial_rows_csv");
     if (!ok) break;
     if (line.empty()) continue;
     const auto fields = split_csv_line(line);
@@ -725,7 +732,7 @@ void write_campaign_rows_csv(std::ostream& os,
 
 std::vector<CampaignRow> read_campaign_rows_csv(std::istream& is) {
   bool ok = false;
-  const std::string header = read_line(is, ok);
+  const std::string header = read_line(is, ok, "read_campaign_rows_csv");
   if (!ok) {
     throw std::invalid_argument("read_campaign_rows_csv: empty input");
   }
@@ -735,7 +742,7 @@ std::vector<CampaignRow> read_campaign_rows_csv(std::istream& is) {
   const std::size_t arity = campaign_row_columns().size();
   std::vector<CampaignRow> rows;
   for (;;) {
-    const std::string line = read_line(is, ok);
+    const std::string line = read_line(is, ok, "read_campaign_rows_csv");
     if (!ok) break;
     if (line.empty()) continue;
     const auto fields = split_csv_line(line);

@@ -23,14 +23,8 @@ namespace {
 }
 
 [[nodiscard]] double parse_rate(std::string_view key, std::string_view value) {
-  std::size_t used = 0;
-  double rate = 0.0;
-  try {
-    rate = std::stod(std::string(value), &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != value.size() || !(rate >= 0.0) || !(rate <= 1.0)) {
+  const double rate = util::parse_double(value);  // strict decimal form
+  if (!(rate >= 0.0) || !(rate <= 1.0)) {
     throw std::invalid_argument("parse_fault_spec: bad " + std::string(key) +
                                 " rate '" + std::string(value) +
                                 "' (want a number in [0, 1])");

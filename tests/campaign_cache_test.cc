@@ -363,6 +363,32 @@ TEST(CampaignCache, InstallLeavesEntryNextToItsLockFile) {
   }
 }
 
+TEST(CampaignCache, EntryCutInsideItsLastFieldIsCorrupt) {
+  // A torn copy (the EXDEV fallback is not atomic) can end inside the last
+  // counter and still parse: "14743\n" cut by two bytes reads "1474".
+  const TempDir dir;
+  CampaignCache cache(dir.str());
+  const CacheKey key{111, 222, 333};
+  CampaignTrialRow row = synthetic_row(/*topology_seed=*/222);
+  row.row.stats.root_causes.happy_deployed = 14743;
+  row.row.stats.w_root_causes.happy_deployed = 14743;
+  cache.store(key, row);
+  const fs::path entry = dir.path() / cache_entry_name(key);
+  fs::resize_file(entry, fs::file_size(entry) - 2);
+
+  EXPECT_EQ(cache.lookup(key), std::nullopt);
+  EXPECT_EQ(cache.stats().corrupt, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+
+  // The next install does not trust the torn entry: it replaces it.
+  cache.store(key, row);
+  EXPECT_EQ(cache.stats().stores, 2u);
+  EXPECT_EQ(cache.stats().already_present, 0u);
+  const auto found = cache.lookup(key);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(*found, row.row);
+}
+
 TEST(CampaignCache, SecondInstallOfAValidEntryIsSkipped) {
   const TempDir dir;
   CampaignCache cache(dir.str());

@@ -382,6 +382,50 @@ TEST(Campaign, ReadersRejectMalformedInput) {
   EXPECT_THROW((void)read_trial_rows_json(truncated), std::invalid_argument);
 }
 
+TEST(Campaign, CsvReadersRejectALineCutBeforeItsNewline) {
+  // A file cut inside its last field can still split into the right arity
+  // with a well-formed but wrong last counter; every writer ends every line
+  // with '\n', so a missing final newline marks the cut.
+  CampaignTrialRow trial;
+  trial.topology = "tiny-500";
+  trial.row.label = "cut";
+  trial.row.stats.root_causes.happy_deployed = 14743;
+  trial.row.stats.w_root_causes.happy_deployed = 14743;
+  std::ostringstream trial_csv;
+  write_trial_rows_csv(trial_csv, {trial});
+
+  CampaignRow row;
+  row.label = "cut";
+  row.topology = "tiny-500";
+  row.metrics.back().max = 0.14743;
+  row.weighted_metrics.back().max = 0.14743;
+  std::ostringstream row_csv;
+  write_campaign_rows_csv(row_csv, {row});
+
+  const std::string trial_text = trial_csv.str();
+  const std::string row_text = row_csv.str();
+  {
+    std::istringstream in(trial_text);
+    EXPECT_EQ(read_trial_rows_csv(in), std::vector<CampaignTrialRow>{trial});
+  }
+  {
+    std::istringstream in(row_text);
+    EXPECT_EQ(read_campaign_rows_csv(in), std::vector<CampaignRow>{row});
+  }
+  for (const std::size_t cut : {1u, 2u}) {
+    std::istringstream trial_in(trial_text.substr(0, trial_text.size() - cut));
+    EXPECT_THROW((void)read_trial_rows_csv(trial_in), std::invalid_argument)
+        << cut;
+    std::istringstream row_in(row_text.substr(0, row_text.size() - cut));
+    EXPECT_THROW((void)read_campaign_rows_csv(row_in), std::invalid_argument)
+        << cut;
+  }
+  // A header cut before its newline is truncated too.
+  const std::string header = trial_text.substr(0, trial_text.find('\n'));
+  std::istringstream header_only(header);
+  EXPECT_THROW((void)read_trial_rows_csv(header_only), std::invalid_argument);
+}
+
 TEST(Campaign, AggregatedCsvReaderRejectsPaddedNumbers) {
   // The metric cells are plain decimals: padding or a '+' sign is rejected,
   // as it is in the count cells.

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "routing/baseline.h"
 #include "routing/engine.h"
 #include "routing/reach.h"
 #include "security/partition.h"
@@ -69,9 +68,12 @@ TEST(EngineWorkspace, BaselineMatchesAllocatingVariant) {
   for (const auto lp :
        {LocalPrefPolicy::standard(), LocalPrefPolicy::lp_k(2),
         LocalPrefPolicy::lp_k(5)}) {
-    const auto fresh = compute_baseline(g, 2, 77, lp);
-    const auto& reused = compute_baseline(g, 2, 77, lp, ws);
-    expect_same_outcome(fresh, reused);
+    const Query q{2, 77, SecurityModel::kInsecure};
+    EngineWorkspace fresh_ws;
+    RoutingOutcome fresh;
+    compute_routing_into(g, q, {}, fresh_ws, fresh, lp);
+    compute_routing_into(g, q, {}, ws, ws.baseline, lp);
+    expect_same_outcome(fresh, ws.baseline);
   }
 }
 

@@ -39,6 +39,17 @@ TEST(FaultSpecParse, RejectsMalformedSpecs) {
   EXPECT_THROW((void)parse_fault_spec("unit=-0.1"), std::invalid_argument);
   EXPECT_THROW((void)parse_fault_spec("unit=abc"), std::invalid_argument);
   EXPECT_THROW((void)parse_fault_spec("unit=0.5,,"), std::invalid_argument);
+  // Rates are plain decimals, parsed as strictly as every other number:
+  // no whitespace, '+' sign or hexadecimal form (strtod took all three).
+  EXPECT_THROW((void)parse_fault_spec("unit="), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_spec("unit= 0.5"), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_spec("unit=0.5 "), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_spec("unit=+0.5"), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_spec("unit=0x1p-1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_spec("store=\t1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_fault_spec("unit=nan"), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(parse_fault_spec("unit=5e-1").unit_rate, 0.5);
+  EXPECT_DOUBLE_EQ(parse_fault_spec("store=0").store_rate, 0.0);
   // Seeds are plain unsigned decimals: no sign, whitespace or overflow
   // (strtoull would read "-1" as 2^64 - 1).
   EXPECT_THROW((void)parse_fault_spec("seed="), std::invalid_argument);
@@ -142,6 +153,8 @@ TEST(FaultSpecEnv, ReadsAndValidatesEnvironmentVariable) {
   ASSERT_EQ(::setenv("SBGP_FAULTS", "nope", 1), 0);
   EXPECT_THROW((void)fault_spec_from_env(), std::invalid_argument);
   ASSERT_EQ(::setenv("SBGP_FAULTS", "seed=-1,unit=0.75", 1), 0);
+  EXPECT_THROW((void)fault_spec_from_env(), std::invalid_argument);
+  ASSERT_EQ(::setenv("SBGP_FAULTS", "seed=3,unit=+0.75", 1), 0);
   EXPECT_THROW((void)fault_spec_from_env(), std::invalid_argument);
 
   ASSERT_EQ(::unsetenv("SBGP_FAULTS"), 0);

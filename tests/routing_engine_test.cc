@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "routing/model.h"
+#include "routing/workspace.h"
 #include "test_support.h"
 #include "topology/as_graph.h"
 
@@ -139,6 +140,47 @@ TEST(Engine, QueryValidation) {
                std::invalid_argument);
   EXPECT_THROW(compute_routing(g, attack(0, 7, SecurityModel::kInsecure), {}),
                std::invalid_argument);
+}
+
+TEST(Engine, LpLadderNeedsTheInsecureModel) {
+  // The staged secure pipeline is defined for the standard ladder only.
+  const auto g = Figure2::graph();
+  const auto dep = Figure2::deployment();
+  EngineWorkspace ws;
+  for (const SecurityModel model :
+       {SecurityModel::kSecurityFirst, SecurityModel::kSecuritySecond,
+        SecurityModel::kSecurityThird}) {
+    const Query q = attack(Figure2::kLevel3, Figure2::kAttacker, model);
+    EXPECT_THROW(compute_routing_into(g, q, dep, ws, ws.primary,
+                                      LocalPrefPolicy::lp_k(2)),
+                 std::invalid_argument)
+        << to_string(model);
+    compute_routing_into(g, q, dep, ws, ws.primary);  // the standard ladder
+  }
+}
+
+TEST(Engine, LpLadderPrefersShortPeerRouteOverLongCustomerRoute) {
+  // AS 1 has a 2-hop customer route (via 2) and a 1-hop peer route to d.
+  // The standard ladder takes the customer route; LP-1 and LP-2 rank
+  // peer(1) above cust(>1) and cust(2) respectively.
+  AsGraphBuilder b(3);
+  b.add_customer_provider(/*customer=*/0, /*provider=*/2);
+  b.add_customer_provider(/*customer=*/2, /*provider=*/1);
+  b.add_peer_peer(0, 1);
+  const auto g = b.build();
+  EngineWorkspace ws;
+  compute_routing_into(g, normal(0, SecurityModel::kInsecure), {}, ws,
+                       ws.primary);
+  EXPECT_EQ(ws.primary.type(1), RouteType::kCustomer);
+  EXPECT_EQ(ws.primary.length(1), 2);
+  for (const std::uint16_t k : {std::uint16_t{1}, std::uint16_t{2}}) {
+    compute_routing_into(g, normal(0, SecurityModel::kInsecure), {}, ws,
+                         ws.primary, LocalPrefPolicy::lp_k(k));
+    EXPECT_EQ(ws.primary.type(1), RouteType::kPeer) << "k=" << k;
+    EXPECT_EQ(ws.primary.length(1), 1) << "k=" << k;
+    EXPECT_EQ(ws.primary.next_toward(1, true), 0u) << "k=" << k;
+    EXPECT_EQ(ws.primary.type(2), RouteType::kCustomer) << "k=" << k;
+  }
 }
 
 TEST(Engine, BaselineIgnoresDeployment) {

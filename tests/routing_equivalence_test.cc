@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "routing/baseline.h"
 #include "routing/engine.h"
 #include "routing/lanes.h"
 #include "routing/model.h"
@@ -162,29 +161,29 @@ TEST(EquivalenceInternet, EngineMatchesReferenceOnGeneratedTopology) {
   }
 }
 
-TEST_P(EquivalenceTest, BaselineEngineMatchesMainEngine) {
-  // compute_baseline with the standard ladder must agree with the main
-  // engine at S = emptyset, bit for bit.
+TEST_P(EquivalenceTest, LpZeroLadderMatchesStandardLadder) {
+  // LP-0 interleaves no rung, so it must equal the standard ladder bit for
+  // bit, representative next hops included.
   const auto [n, seed] = GetParam();
   util::Rng rng(seed + 1000);
   const AsGraph g = random_gr_graph(n, rng);
+  EngineWorkspace ws;
+  RoutingOutcome lp0;
   for (int trial = 0; trial < 3; ++trial) {
     const auto d = static_cast<AsId>(rng.next_below(n));
     auto m = static_cast<AsId>(rng.next_below(n));
     if (m == d) m = (m + 1) % n;
-    const auto base = compute_baseline(g, d, m);
-    const auto eng = compute_routing(g, {d, m, SecurityModel::kInsecure}, {});
-    for (AsId v = 0; v < n; ++v) {
-      ASSERT_EQ(base.type(v), eng.type(v)) << v;
-      ASSERT_EQ(base.length(v), eng.length(v)) << v;
-      ASSERT_EQ(base.reaches_destination(v), eng.reaches_destination(v)) << v;
-      ASSERT_EQ(base.reaches_attacker(v), eng.reaches_attacker(v)) << v;
+    for (const AsId attacker : {kNoAs, m}) {
+      const Query q{d, attacker, SecurityModel::kInsecure};
+      compute_routing_into(g, q, {}, ws, lp0, LocalPrefPolicy::lp_k(0));
+      compute_routing_into(g, q, {}, ws, ws.primary);
+      EXPECT_TRUE(lp0 == ws.primary) << "d=" << d << " m=" << attacker;
     }
   }
 }
 
-TEST_P(EquivalenceTest, LpkBaselineMatchesReference) {
-  // The LPk ladder implementation must agree with the reference simulator
+TEST_P(EquivalenceTest, LpkEngineMatchesReference) {
+  // The engine's LP-k ladder must agree with the reference simulator
   // configured with the same ladder.
   const auto [n, seed] = GetParam();
   util::Rng rng(seed + 5000);
@@ -196,7 +195,9 @@ TEST_P(EquivalenceTest, LpkBaselineMatchesReference) {
     auto m = static_cast<AsId>(rng.next_below(n));
     if (m == d) m = (m + 1) % n;
     const Query q{d, m, SecurityModel::kInsecure};
-    const auto base = compute_baseline(g, d, m, lp);
+    EngineWorkspace ws;
+    compute_routing_into(g, q, {}, ws, ws.primary, lp);
+    const RoutingOutcome& base = ws.primary;
     ReferenceSimulator ref(g, Deployment(n), lp);
     ASSERT_TRUE(ref.run(q, seed).converged);
     for (AsId v = 0; v < n; ++v) {
@@ -705,9 +706,11 @@ TEST(EngineGolden, LpLadderDigestIsPinned) {
   for (const auto& [d, m] : s.pairs) {
     for (const LocalPrefPolicy lp :
          {LocalPrefPolicy::standard(), LocalPrefPolicy::lp_k(2)}) {
-      compute_baseline_into(g, d, kNoAs, lp, ws, base);
+      compute_routing_into(g, {d, kNoAs, SecurityModel::kInsecure}, {}, ws,
+                           base, lp);
       mix_outcome(fp, base);
-      compute_baseline_into(g, d, m, lp, ws, base);
+      compute_routing_into(g, {d, m, SecurityModel::kInsecure}, {}, ws, base,
+                           lp);
       mix_outcome(fp, base);
     }
   }
