@@ -4,8 +4,8 @@
 // The suite mixes a heavy all-analyses spec with light single-analysis
 // specs across three scenarios; every trial regenerates the topology from
 // a SplitMix-derived seed. Per-trial rows (raw integer counters) go to the
-// CSV/JSON paths when given; the aggregated mean ± stderr table prints to
-// stdout. After writing, the files are read back and compared to the
+// CSV path when given; the aggregated mean ± stderr table prints to
+// stdout. After writing, every file is read back and compared to the
 // in-memory rows, so a serialization regression fails the run loudly.
 //
 // With --cache-dir, computed rows persist to a campaign result cache
@@ -33,7 +33,7 @@
 // (e.g. 'gravity,seed=7') to every experiment; non-uniform models emit the
 // weighted per-trial schema (w_ columns).
 //
-//   ./example_run_campaign [topology] [trials] [samples] [csv] [json]
+//   ./example_run_campaign [topology] [trials] [samples] [csv]
 //                          [--cache-dir DIR] [--expect-cached]
 //                          [--shard I/N] [--merge-only] [--faults SPEC]
 //                          [--target-stderr X] [--max-trials N] [--wave N]
@@ -76,7 +76,7 @@ std::optional<std::size_t> parse_count(const std::string& text) {
 
 void print_usage(std::ostream& os) {
   os << "usage: example_run_campaign [topology] [trials] [samples]"
-        " [csv] [json]\n"
+        " [csv]\n"
         "                            [--cache-dir DIR] [--expect-cached]\n"
         "                            [--shard I/N] [--merge-only]"
         " [--faults SPEC]\n"
@@ -90,7 +90,7 @@ void print_usage(std::ostream& os) {
         "  topology   registered topology name (default small-2k)\n"
         "  trials     number of generated topologies (default 2)\n"
         "  samples    attackers and destinations per spec (default 8)\n"
-        "  csv, json  write per-trial rows to these paths and verify the\n"
+        "  csv        write per-trial rows to this path and verify the\n"
         "             round trip\n"
         "  --cache-dir DIR   persist/serve per-trial rows from a campaign\n"
         "                    result cache under DIR\n"
@@ -253,7 +253,7 @@ int run(int argc, char** argv) {
     }
     positional.push_back(arg);
   }
-  if (positional.size() > 5) {
+  if (positional.size() > 4) {
     std::cerr << "error: too many arguments\n\n";
     print_usage(std::cerr);
     return 2;
@@ -281,7 +281,6 @@ int run(int argc, char** argv) {
     return 2;
   }
   const std::string csv_path = positional.size() > 3 ? positional[3] : "";
-  const std::string json_path = positional.size() > 4 ? positional[4] : "";
   if (topology::find_topology(campaign.topology) == nullptr &&
       topology::find_topology_file(campaign.topology) == nullptr) {
     std::cerr << "error: unknown topology '" << campaign.topology << "'\n\n";
@@ -398,9 +397,9 @@ int run(int argc, char** argv) {
     }
   }
 
-  // Serialize, re-read, and verify: a campaign result must survive both
-  // formats byte-exactly. Partial results are still written — that is
-  // what a resumed or merge-only run builds on.
+  // Serialize, re-read, and verify: a campaign result must survive its
+  // files byte-exactly. Partial results are still written — that is what a
+  // resumed or merge-only run builds on.
   if (!csv_path.empty()) {
     std::ofstream out(csv_path);
     sim::write_trial_rows_csv(out, result.trial_rows, weighted);
@@ -411,18 +410,6 @@ int run(int argc, char** argv) {
       return 1;
     }
     std::cout << "wrote per-trial rows: " << csv_path
-              << " (round trip verified)\n";
-  }
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    sim::write_trial_rows_json(out, result.trial_rows, weighted);
-    out.close();
-    std::ifstream in(json_path);
-    if (sim::read_trial_rows_json(in) != result.trial_rows) {
-      std::cerr << "FAIL: JSON round trip mismatch\n";
-      return 1;
-    }
-    std::cout << "wrote per-trial rows: " << json_path
               << " (round trip verified)\n";
   }
   if (!stream_path.empty()) {

@@ -15,9 +15,6 @@ namespace sbgp::sim {
 
 namespace {
 
-constexpr std::array<std::string_view, 4> kSummaryParts = {"mean", "stderr",
-                                                           "min", "max"};
-
 std::string trial_row_id(const CampaignTrialRow& r) {
   return "trial " + std::to_string(r.trial) + " spec " +
          std::to_string(r.spec_index) + " (" + r.row.label + ")";
@@ -25,10 +22,6 @@ std::string trial_row_id(const CampaignTrialRow& r) {
 
 std::string campaign_row_id(const CampaignRow& r) {
   return "spec " + std::to_string(r.spec_index) + " (" + r.label + ")";
-}
-
-std::array<double, 4> summary_values(const MetricSummary& m) {
-  return {m.mean, m.std_error, m.min, m.max};
 }
 
 }  // namespace

@@ -2,14 +2,12 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdio>
-#include <tuple>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 
 #include "util/csv.h"
@@ -27,7 +25,7 @@ using util::split_csv_line;
 // --- shared column schema --------------------------------------------------
 
 /// Leading identity columns of a per-trial row; the integer counter
-/// columns of kCounterNames follow. CSV and JSON use the same names.
+/// columns of kCounterNames follow.
 constexpr std::array<std::string_view, 8> kIdNames = {
     "topology", "trial",      "topology_seed", "spec",
     "label",    "step_label", "model",         "hysteresis"};
@@ -215,13 +213,6 @@ bool parse_bool(std::string_view s) {
                               std::string(s) + "'");
 }
 
-constexpr std::array<std::string_view, 4> kSummaryParts = {"mean", "stderr",
-                                                           "min", "max"};
-
-std::array<double, 4> summary_values(const MetricSummary& m) {
-  return {m.mean, m.std_error, m.min, m.max};
-}
-
 MetricSummary summary_from(const std::array<double, 4>& v) {
   return {v[0], v[1], v[2], v[3]};
 }
@@ -244,256 +235,6 @@ const std::vector<std::string>& campaign_row_columns() {
     return names;
   }();
   return columns;
-}
-
-// --- minimal JSON ----------------------------------------------------------
-
-// The serializers emit only flat-ish arrays of objects with string /
-// number / bool values (aggregated rows nest one object level for the
-// metric summaries), so this is a deliberately small parser for exactly
-// that subset. Numbers keep their raw text so integer counters round-trip
-// exactly even beyond 2^53.
-
-struct JsonValue {
-  enum class Kind { kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kBool;
-  bool boolean = false;
-  std::string text;  // string contents or raw number text
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* find(std::string_view key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  /// The member `key`, which must be present and of kind `kind`; throws
-  /// std::invalid_argument otherwise, so `"hysteresis": 1` or a quoted
-  /// counter is rejected rather than read as a default.
-  [[nodiscard]] const JsonValue& at(std::string_view key, Kind kind) const {
-    const JsonValue* v = find(key);
-    if (v == nullptr) {
-      throw std::invalid_argument("campaign_io: missing JSON key '" +
-                                  std::string(key) + "'");
-    }
-    if (v->kind != kind) {
-      throw std::invalid_argument("campaign_io: JSON key '" +
-                                  std::string(key) + "' has the wrong kind");
-    }
-    return *v;
-  }
-  [[nodiscard]] const std::string& as_string(std::string_view key) const {
-    return at(key, Kind::kString).text;
-  }
-  [[nodiscard]] std::uint64_t as_u64(std::string_view key) const {
-    return parse_u64(at(key, Kind::kNumber).text);
-  }
-  [[nodiscard]] double as_double(std::string_view key) const {
-    return parse_double(at(key, Kind::kNumber).text);
-  }
-  [[nodiscard]] bool as_bool(std::string_view key) const {
-    return at(key, Kind::kBool).boolean;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("campaign_io: JSON parse error at offset " +
-                                std::to_string(pos_) + ": " + what);
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string();
-    if (c == 't' || c == 'f') return boolean();
-    return number();
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (consume('}')) return v;
-    for (;;) {
-      skip_ws();
-      JsonValue key = string();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key.text), value());
-      skip_ws();
-      if (consume('}')) return v;
-      expect(',');
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (consume(']')) return v;
-    for (;;) {
-      v.array.push_back(value());
-      skip_ws();
-      if (consume(']')) return v;
-      expect(',');
-    }
-  }
-
-  JsonValue string() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kString;
-    expect('"');
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return v;
-      if (c != '\\') {
-        v.text += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': v.text += '"'; break;
-        case '\\': v.text += '\\'; break;
-        case '/': v.text += '/'; break;
-        case 'b': v.text += '\b'; break;
-        case 'f': v.text += '\f'; break;
-        case 'n': v.text += '\n'; break;
-        case 'r': v.text += '\r'; break;
-        case 't': v.text += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape");
-            }
-          }
-          if (code >= 0x80) fail("non-ASCII \\u escape unsupported");
-          v.text += static_cast<char>(code);
-          break;
-        }
-        default: fail("bad escape");
-      }
-    }
-  }
-
-  JsonValue boolean() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    if (text_.substr(pos_, 4) == "true") {
-      v.boolean = true;
-      pos_ += 4;
-    } else if (text_.substr(pos_, 5) == "false") {
-      v.boolean = false;
-      pos_ += 5;
-    } else {
-      fail("bad literal");
-    }
-    return v;
-  }
-
-  JsonValue number() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::string_view("+-.eE0123456789").find(text_[pos_]) !=
-            std::string_view::npos)) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected number");
-    v.text = std::string(text_.substr(start, pos_ - start));
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-JsonValue parse_stream(std::istream& is) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  const std::string text = buffer.str();
-  JsonParser parser(text);
-  JsonValue v = parser.parse();
-  if (v.kind != JsonValue::Kind::kArray) {
-    throw std::invalid_argument("campaign_io: expected a JSON array of rows");
-  }
-  return v;
 }
 
 /// Reads one line; `ok` is false at the end of input. Every writer ends
@@ -631,81 +372,11 @@ std::vector<CampaignTrialRow> read_trial_rows_csv(std::istream& is) {
   return rows;
 }
 
-void write_trial_rows_json(std::ostream& os,
-                           const std::vector<CampaignTrialRow>& rows,
-                           bool weighted) {
-  os << "[\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const CampaignTrialRow& r = rows[i];
-    if (!weighted && !is_uniform_weight(r)) {
-      throw std::logic_error(
-          "write_trial_rows_json: non-uniform-weight row in a legacy-layout "
-          "file; write with weighted = true");
-    }
-    os << "  {\"topology\": " << json_escape(r.topology)
-       << ", \"trial\": " << r.trial
-       << ", \"topology_seed\": " << r.topology_seed
-       << ", \"spec\": " << r.spec_index
-       << ", \"label\": " << json_escape(r.row.label)
-       << ", \"step_label\": " << json_escape(r.row.step_label)
-       << ", \"model\": " << json_escape(to_string(r.row.model))
-       << ", \"hysteresis\": " << (r.row.hysteresis ? "true" : "false");
-    const auto slots = counter_slots(r);
-    for (std::size_t c = 0; c < slots.size(); ++c) {
-      os << ", \"" << kCounterNames[c] << "\": " << *slots[c];
-    }
-    if (weighted) {
-      const auto w_slots = weighted_counter_slots(r);
-      const auto w_names = weighted_column_names();
-      for (std::size_t c = 0; c < w_slots.size(); ++c) {
-        os << ", \"" << w_names[c] << "\": " << *w_slots[c];
-      }
-    }
-    os << (i + 1 < rows.size() ? "},\n" : "}\n");
-  }
-  os << "]\n";
-}
-
-void write_trial_rows_json(std::ostream& os,
-                           const std::vector<CampaignTrialRow>& rows) {
-  write_trial_rows_json(os, rows, !all_uniform_weight(rows));
-}
-
-std::vector<CampaignTrialRow> read_trial_rows_json(std::istream& is) {
-  const JsonValue root = parse_stream(is);
-  std::vector<CampaignTrialRow> rows;
-  rows.reserve(root.array.size());
-  for (const auto& obj : root.array) {
-    CampaignTrialRow r;
-    r.topology = obj.as_string("topology");
-    r.trial = static_cast<std::size_t>(obj.as_u64("trial"));
-    r.topology_seed = obj.as_u64("topology_seed");
-    r.spec_index = static_cast<std::size_t>(obj.as_u64("spec"));
-    r.row.label = obj.as_string("label");
-    r.row.step_label = obj.as_string("step_label");
-    r.row.model = parse_model(obj.as_string("model"));
-    r.row.hysteresis = obj.as_bool("hysteresis");
-    const auto slots = counter_slots(r);
-    for (std::size_t c = 0; c < slots.size(); ++c) {
-      *slots[c] = static_cast<std::size_t>(obj.as_u64(kCounterNames[c]));
-    }
-    // The weighted keys are present iff the file was written in weighted
-    // mode; their absence means a uniform-weight run.
-    if (obj.find("weight") != nullptr) {
-      const auto w_slots = weighted_counter_slots(r);
-      const auto w_names = weighted_column_names();
-      for (std::size_t c = 0; c < w_slots.size(); ++c) {
-        *w_slots[c] = static_cast<std::size_t>(obj.as_u64(w_names[c]));
-      }
-    } else {
-      reconstruct_uniform_weights(r);
-    }
-    rows.push_back(std::move(r));
-  }
-  return rows;
-}
-
 // --- aggregated rows -------------------------------------------------------
+
+std::array<double, 4> summary_values(const MetricSummary& m) {
+  return {m.mean, m.std_error, m.min, m.max};
+}
 
 void write_campaign_rows_csv(std::ostream& os,
                              const std::vector<CampaignRow>& rows) {
@@ -764,74 +435,6 @@ std::vector<CampaignRow> read_campaign_rows_csv(std::istream& is) {
         m = summary_from(v);
       }
     }
-    rows.push_back(std::move(r));
-  }
-  return rows;
-}
-
-void write_campaign_rows_json(std::ostream& os,
-                              const std::vector<CampaignRow>& rows) {
-  os << "[\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    os << "  {\"label\": " << json_escape(r.label)
-       << ", \"topology\": " << json_escape(r.topology)
-       << ", \"spec\": " << r.spec_index << ", \"trials\": " << r.trials
-       << ", \"failed_trials\": " << r.failed_trials
-       << ", \"stopping_reason\": " << json_escape(to_string(r.stopping))
-       << ", \"metrics\": {";
-    const auto& names = campaign_metric_names();
-    const auto emit_metrics =
-        [&](const std::array<MetricSummary, kNumCampaignMetrics>& metrics) {
-          for (std::size_t m = 0; m < kNumCampaignMetrics; ++m) {
-            if (m != 0) os << ", ";
-            const auto values = summary_values(metrics[m]);
-            os << '"' << names[m] << "\": {";
-            for (std::size_t p = 0; p < kSummaryParts.size(); ++p) {
-              if (p != 0) os << ", ";
-              os << '"' << kSummaryParts[p]
-                 << "\": " << format_double(values[p]);
-            }
-            os << '}';
-          }
-        };
-    emit_metrics(r.metrics);
-    os << "}, \"weighted_metrics\": {";
-    emit_metrics(r.weighted_metrics);
-    os << "}}" << (i + 1 < rows.size() ? "," : "") << '\n';
-  }
-  os << "]\n";
-}
-
-std::vector<CampaignRow> read_campaign_rows_json(std::istream& is) {
-  const JsonValue root = parse_stream(is);
-  std::vector<CampaignRow> rows;
-  rows.reserve(root.array.size());
-  for (const auto& obj : root.array) {
-    CampaignRow r;
-    r.label = obj.as_string("label");
-    r.topology = obj.as_string("topology");
-    r.spec_index = static_cast<std::size_t>(obj.as_u64("spec"));
-    r.trials = static_cast<std::size_t>(obj.as_u64("trials"));
-    r.failed_trials = static_cast<std::size_t>(obj.as_u64("failed_trials"));
-    r.stopping = parse_stopping_reason(obj.as_string("stopping_reason"));
-    const auto& names = campaign_metric_names();
-    const auto read_metrics =
-        [&](const JsonValue& metrics,
-            std::array<MetricSummary, kNumCampaignMetrics>& out) {
-          for (std::size_t m = 0; m < kNumCampaignMetrics; ++m) {
-            const JsonValue& summary =
-                metrics.at(names[m], JsonValue::Kind::kObject);
-            std::array<double, 4> v;
-            for (std::size_t p = 0; p < kSummaryParts.size(); ++p) {
-              v[p] = summary.as_double(kSummaryParts[p]);
-            }
-            out[m] = summary_from(v);
-          }
-        };
-    read_metrics(obj.at("metrics", JsonValue::Kind::kObject), r.metrics);
-    read_metrics(obj.at("weighted_metrics", JsonValue::Kind::kObject),
-                 r.weighted_metrics);
     rows.push_back(std::move(r));
   }
   return rows;

@@ -1,18 +1,19 @@
-// Campaign result serialization: CSV and JSON, with round-trip readers.
+// Campaign result serialization: CSV writers and their round-trip readers.
 //
 // Per-trial rows carry the raw integer counters of every analysis (exact
 // decimal serialization), so written results can be diffed byte-for-byte
 // across machines and thread counts, re-aggregated offline, or compared in
 // CI against a checked-in baseline. Aggregated rows carry the derived
 // metric summaries (mean/stderr/min/max) formatted with max_digits10, so
-// parsing returns the identical doubles. Both formats are flat and
-// self-describing: CSV starts with a header line the readers verify;
-// JSON is an array of objects keyed by the same column names.
+// parsing returns the identical doubles. Both row kinds are flat and
+// self-describing: each file starts with a header line the readers verify.
 #ifndef SBGP_SIM_CAMPAIGN_IO_H
 #define SBGP_SIM_CAMPAIGN_IO_H
 
+#include <array>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/campaign.h"
@@ -31,7 +32,7 @@ namespace sbgp::sim {
 // w_X = X) from legacy files — which is exactly what those files mean.
 
 /// Column names of the FULL per-trial row schema (weighted generation) in
-/// serialization order — the CSV header fields / JSON object keys. Shared
+/// serialization order — the CSV header fields. Shared
 /// by the writers, the header-checking readers, and the baseline differ
 /// (campaign_diff.h). The legacy generation is a strict prefix.
 [[nodiscard]] const std::vector<std::string>& trial_row_columns();
@@ -64,20 +65,6 @@ void write_trial_rows_csv(std::ostream& os,
 [[nodiscard]] std::vector<CampaignTrialRow> read_trial_rows_csv(
     std::istream& is);
 
-/// JSON counterparts of the CSV writers: an array with one object per row,
-/// keys in the CSV column order. The explicit-layout overload throws
-/// std::logic_error if a non-uniform row meets weighted == false.
-void write_trial_rows_json(std::ostream& os,
-                           const std::vector<CampaignTrialRow>& rows);
-void write_trial_rows_json(std::ostream& os,
-                           const std::vector<CampaignTrialRow>& rows,
-                           bool weighted);
-/// Parses either generation write_trial_rows_json produces. Throws
-/// std::invalid_argument on a missing key or a value of the wrong JSON
-/// kind (e.g. "hysteresis": 1).
-[[nodiscard]] std::vector<CampaignTrialRow> read_trial_rows_json(
-    std::istream& is);
-
 /// Streaming per-trial CSV sink: the header is written at construction,
 /// one row per append(). Wiring `append` as a sim::RowSink streams rows to
 /// disk as cells complete, and the resulting file is byte-identical to
@@ -101,19 +88,22 @@ class TrialRowCsvAppender {
 
 // One aggregated schema: identity columns including `failed_trials` and
 // `stopping_reason` ("fixed" / "converged" / "budget", sim::StoppingReason),
-// then the metric summaries and their traffic-weighted twins
-// (`w_<metric>_<part>` columns / the "weighted_metrics" JSON object). The
-// readers accept exactly what the writers emit: an older header or a
-// missing JSON key throws std::invalid_argument.
+// then one `<metric>_<part>` column per campaign metric and summary part,
+// and their traffic-weighted `w_<metric>_<part>` twins. The reader accepts
+// exactly what the writer emits: an older header throws
+// std::invalid_argument.
+
+/// The summary parts of every aggregated metric, in column order: the
+/// `<part>` of each `<metric>_<part>` column. The baseline differ
+/// (campaign_diff.h) names its divergences with them.
+inline constexpr std::array<std::string_view, 4> kSummaryParts = {
+    "mean", "stderr", "min", "max"};
+/// A summary's values aligned with kSummaryParts.
+[[nodiscard]] std::array<double, 4> summary_values(const MetricSummary& m);
 
 void write_campaign_rows_csv(std::ostream& os,
                              const std::vector<CampaignRow>& rows);
 [[nodiscard]] std::vector<CampaignRow> read_campaign_rows_csv(
-    std::istream& is);
-
-void write_campaign_rows_json(std::ostream& os,
-                              const std::vector<CampaignRow>& rows);
-[[nodiscard]] std::vector<CampaignRow> read_campaign_rows_json(
     std::istream& is);
 
 }  // namespace sbgp::sim

@@ -51,6 +51,12 @@ std::vector<std::string> split_csv_line(std::string_view line) {
           ++i;
         } else {
           quoted = false;
+          // A quoted field ends at its closing quote: only a separator or
+          // the end of the line may follow.
+          if (i + 1 < line.size() && line[i + 1] != ',') {
+            throw std::invalid_argument(
+                "split_csv_line: text after closing quote");
+          }
         }
       } else {
         cur += c;

@@ -26,11 +26,13 @@ namespace sbgp::util {
 [[nodiscard]] std::string csv_line(const std::vector<std::string>& fields);
 
 /// Splits one CSV record into fields, honoring quotes and doubled-quote
-/// escapes. Throws std::invalid_argument on unbalanced quoting.
+/// escapes. A quoted field must end at a comma or at the end of the line.
+/// Throws std::invalid_argument on unbalanced quoting, a quote inside a bare
+/// field, or text after a closing quote.
 [[nodiscard]] std::vector<std::string> split_csv_line(std::string_view line);
 
-/// Shortest-exact decimal form of `v` (max_digits10 precision): parsing the
-/// result with strtod yields the identical double.
+/// Exact decimal form of `v` (max_digits10 precision): parse_double of the
+/// result yields the identical double.
 [[nodiscard]] std::string format_double(double v);
 
 /// Parses a decimal double field (std::from_chars, general format): the

@@ -1,6 +1,6 @@
 // Campaign-layer tests: equivalence with independent suite runs on the
 // same generated topologies, thread-count determinism down to serialized
-// bytes, CSV/JSON round trips, aggregation math, and registry-naming
+// bytes, CSV round trips, aggregation math, and registry-naming
 // error messages.
 #include <gtest/gtest.h>
 
@@ -161,18 +161,14 @@ TEST(Campaign, ThreadCountIndependentDownToSerializedBytes) {
   const auto serialize = [](const CampaignResult& r) {
     std::ostringstream csv;
     write_trial_rows_csv(csv, r.trial_rows);
-    std::ostringstream json;
-    write_trial_rows_json(json, r.trial_rows);
     std::ostringstream agg_csv;
     write_campaign_rows_csv(agg_csv, r.rows);
-    std::ostringstream agg_json;
-    write_campaign_rows_json(agg_json, r.rows);
-    return csv.str() + json.str() + agg_csv.str() + agg_json.str();
+    return csv.str() + agg_csv.str();
   };
   EXPECT_EQ(serialize(a), serialize(b));
 }
 
-TEST(Campaign, TrialRowsRoundTripThroughCsvAndJson) {
+TEST(Campaign, TrialRowsRoundTripThroughCsv) {
   const CampaignResult result = run_campaign(small_campaign(2));
   ASSERT_FALSE(result.trial_rows.empty());
 
@@ -180,17 +176,12 @@ TEST(Campaign, TrialRowsRoundTripThroughCsvAndJson) {
   write_trial_rows_csv(csv, result.trial_rows);
   std::istringstream csv_in(csv.str());
   EXPECT_EQ(read_trial_rows_csv(csv_in), result.trial_rows);
-
-  std::ostringstream json;
-  write_trial_rows_json(json, result.trial_rows);
-  std::istringstream json_in(json.str());
-  EXPECT_EQ(read_trial_rows_json(json_in), result.trial_rows);
 }
 
 // Two hand-built per-trial rows: uniform-weight ones fit the legacy
 // layout, and `weighted` scales their mirrors so only the weighted layout
 // can hold them.
-std::vector<CampaignTrialRow> json_pin_rows(bool weighted) {
+std::vector<CampaignTrialRow> pin_rows(bool weighted) {
   std::vector<CampaignTrialRow> rows(2);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     CampaignTrialRow& r = rows[i];
@@ -232,130 +223,68 @@ std::vector<CampaignTrialRow> json_pin_rows(bool weighted) {
   return rows;
 }
 
-// The per-trial JSON writer's exact bytes, legacy and weighted layouts,
-// empty and two-row files. Nothing else pins JSON output byte for byte.
-TEST(Campaign, TrialRowJsonWriterBytesArePinned) {
+// The per-trial CSV writer's exact bytes, legacy and weighted layouts,
+// empty and two-row files: a quoted label, a backslash, seeds above 2^53.
+TEST(Campaign, TrialRowCsvWriterBytesArePinned) {
   const auto write = [](const std::vector<CampaignTrialRow>& rows,
                         bool weighted) {
     std::ostringstream os;
-    write_trial_rows_json(os, rows, weighted);
+    write_trial_rows_csv(os, rows, weighted);
     return os.str();
   };
-  EXPECT_EQ(write({}, false), "[\n]\n");
-  EXPECT_EQ(write({}, true), "[\n]\n");
-  const std::string legacy =
-      "[\n"
-      "  {\"topology\": \"tiny-500\", \"trial\": 1, "
-      "\"topology_seed\": 9007199254740993, \"spec\": 0, "
-      "\"label\": \"say \\\"hi\\\"\", \"step_label\": \"\", "
-      "\"model\": \"security 3rd\", \"hysteresis\": true, "
-      "\"num_non_stub_secure\": 17, \"total_secure\": 40, "
-      "\"num_attackers\": 4, \"num_destinations\": 3, \"pairs\": 11, "
-      "\"happy_lower\": 5, \"happy_upper\": 7, \"happy_sources\": 30, "
-      "\"doomed\": 2, \"protectable\": 3, \"immune\": 4, "
-      "\"partition_sources\": 9, \"dg_sources\": 0, "
-      "\"dg_secure_normal\": 0, \"dg_downgraded\": 1, "
-      "\"dg_secure_kept\": 0, \"dg_kept_and_immune\": 0, "
-      "\"col_insecure_sources\": 0, \"col_benefits\": 6, "
-      "\"col_damages\": 0, \"col_benefits_upper\": 0, "
-      "\"col_damages_upper\": 0, \"rc_sources\": 0, "
-      "\"rc_secure_normal\": 0, \"rc_downgraded\": 8, "
-      "\"rc_secure_wasted\": 0, \"rc_secure_protecting\": 0, "
-      "\"rc_collateral_benefits\": 0, \"rc_collateral_damages\": 0, "
-      "\"rc_happy_baseline\": 0, \"rc_happy_deployed\": 0},\n"
-      "  {\"topology\": \"tiny-500\", \"trial\": 1, "
-      "\"topology_seed\": 9007199254740994, \"spec\": 1, "
-      "\"label\": \"t1-t2 s3\", \"step_label\": \"step\\\\1\", "
-      "\"model\": \"baseline\", \"hysteresis\": false, "
-      "\"num_non_stub_secure\": 18, \"total_secure\": 41, "
-      "\"num_attackers\": 4, \"num_destinations\": 4, \"pairs\": 12, "
-      "\"happy_lower\": 6, \"happy_upper\": 8, \"happy_sources\": 30, "
-      "\"doomed\": 2, \"protectable\": 4, \"immune\": 4, "
-      "\"partition_sources\": 10, \"dg_sources\": 0, "
-      "\"dg_secure_normal\": 0, \"dg_downgraded\": 1, "
-      "\"dg_secure_kept\": 0, \"dg_kept_and_immune\": 0, "
-      "\"col_insecure_sources\": 0, \"col_benefits\": 6, "
-      "\"col_damages\": 0, \"col_benefits_upper\": 0, "
-      "\"col_damages_upper\": 0, \"rc_sources\": 0, "
-      "\"rc_secure_normal\": 0, \"rc_downgraded\": 9, "
-      "\"rc_secure_wasted\": 0, \"rc_secure_protecting\": 0, "
-      "\"rc_collateral_benefits\": 0, \"rc_collateral_damages\": 0, "
-      "\"rc_happy_baseline\": 0, \"rc_happy_deployed\": 0}\n"
-      "]\n";
-  EXPECT_EQ(write(json_pin_rows(false), false), legacy);
+  const std::string legacy_header =
+      "topology,trial,topology_seed,spec,label,step_label,model,hysteresis,"
+      "num_non_stub_secure,total_secure,num_attackers,num_destinations,pairs,"
+      "happy_lower,happy_upper,happy_sources,doomed,protectable,immune,"
+      "partition_sources,dg_sources,dg_secure_normal,dg_downgraded,"
+      "dg_secure_kept,dg_kept_and_immune,col_insecure_sources,col_benefits,"
+      "col_damages,col_benefits_upper,col_damages_upper,rc_sources,"
+      "rc_secure_normal,rc_downgraded,rc_secure_wasted,rc_secure_protecting,"
+      "rc_collateral_benefits,rc_collateral_damages,rc_happy_baseline,"
+      "rc_happy_deployed";
+  const std::string weighted_header =
+      legacy_header +
+      ",weight,w_happy_lower,w_happy_upper,w_happy_sources,w_doomed,"
+      "w_protectable,w_immune,w_partition_sources,w_dg_sources,"
+      "w_dg_secure_normal,w_dg_downgraded,w_dg_secure_kept,"
+      "w_dg_kept_and_immune,w_col_insecure_sources,w_col_benefits,"
+      "w_col_damages,w_col_benefits_upper,w_col_damages_upper,w_rc_sources,"
+      "w_rc_secure_normal,w_rc_downgraded,w_rc_secure_wasted,"
+      "w_rc_secure_protecting,w_rc_collateral_benefits,"
+      "w_rc_collateral_damages,w_rc_happy_baseline,w_rc_happy_deployed";
+  EXPECT_EQ(write({}, false), legacy_header + "\n");
+  EXPECT_EQ(write({}, true), weighted_header + "\n");
+  const std::string row0 =
+      "tiny-500,1,9007199254740993,0,\"say \"\"hi\"\"\",,security 3rd,1,"
+      "17,40,4,3,11,5,7,30,2,3,4,9,0,0,1,0,0,0,6,0,0,0,0,0,8,0,0,0,0,0,0";
+  const std::string row1 =
+      "tiny-500,1,9007199254740994,1,t1-t2 s3,step\\1,baseline,0,"
+      "18,41,4,4,12,6,8,30,2,4,4,10,0,0,1,0,0,0,6,0,0,0,0,0,9,0,0,0,0,0,0";
+  const std::string legacy = legacy_header + "\n" + row0 + "\n" + row1 + "\n";
+  EXPECT_EQ(write(pin_rows(false), false), legacy);
+  const std::string w_row0 =
+      row0 + ",33,15,7,30,2,3,12,9,0,0,1,0,0,0,6,0,0,0,0,0,8,0,0,0,0,0,0";
+  const std::string w_row1 =
+      row1 + ",36,19,8,30,2,4,12,10,0,0,1,0,0,0,6,0,0,0,0,0,9,0,0,0,0,0,0";
   const std::string weighted =
-      "[\n"
-      "  {\"topology\": \"tiny-500\", \"trial\": 1, "
-      "\"topology_seed\": 9007199254740993, \"spec\": 0, "
-      "\"label\": \"say \\\"hi\\\"\", \"step_label\": \"\", "
-      "\"model\": \"security 3rd\", \"hysteresis\": true, "
-      "\"num_non_stub_secure\": 17, \"total_secure\": 40, "
-      "\"num_attackers\": 4, \"num_destinations\": 3, \"pairs\": 11, "
-      "\"happy_lower\": 5, \"happy_upper\": 7, \"happy_sources\": 30, "
-      "\"doomed\": 2, \"protectable\": 3, \"immune\": 4, "
-      "\"partition_sources\": 9, \"dg_sources\": 0, "
-      "\"dg_secure_normal\": 0, \"dg_downgraded\": 1, "
-      "\"dg_secure_kept\": 0, \"dg_kept_and_immune\": 0, "
-      "\"col_insecure_sources\": 0, \"col_benefits\": 6, "
-      "\"col_damages\": 0, \"col_benefits_upper\": 0, "
-      "\"col_damages_upper\": 0, \"rc_sources\": 0, "
-      "\"rc_secure_normal\": 0, \"rc_downgraded\": 8, "
-      "\"rc_secure_wasted\": 0, \"rc_secure_protecting\": 0, "
-      "\"rc_collateral_benefits\": 0, \"rc_collateral_damages\": 0, "
-      "\"rc_happy_baseline\": 0, \"rc_happy_deployed\": 0, \"weight\": 33, "
-      "\"w_happy_lower\": 15, \"w_happy_upper\": 7, "
-      "\"w_happy_sources\": 30, \"w_doomed\": 2, \"w_protectable\": 3, "
-      "\"w_immune\": 12, \"w_partition_sources\": 9, \"w_dg_sources\": 0, "
-      "\"w_dg_secure_normal\": 0, \"w_dg_downgraded\": 1, "
-      "\"w_dg_secure_kept\": 0, \"w_dg_kept_and_immune\": 0, "
-      "\"w_col_insecure_sources\": 0, \"w_col_benefits\": 6, "
-      "\"w_col_damages\": 0, \"w_col_benefits_upper\": 0, "
-      "\"w_col_damages_upper\": 0, \"w_rc_sources\": 0, "
-      "\"w_rc_secure_normal\": 0, \"w_rc_downgraded\": 8, "
-      "\"w_rc_secure_wasted\": 0, \"w_rc_secure_protecting\": 0, "
-      "\"w_rc_collateral_benefits\": 0, \"w_rc_collateral_damages\": 0, "
-      "\"w_rc_happy_baseline\": 0, \"w_rc_happy_deployed\": 0},\n"
-      "  {\"topology\": \"tiny-500\", \"trial\": 1, "
-      "\"topology_seed\": 9007199254740994, \"spec\": 1, "
-      "\"label\": \"t1-t2 s3\", \"step_label\": \"step\\\\1\", "
-      "\"model\": \"baseline\", \"hysteresis\": false, "
-      "\"num_non_stub_secure\": 18, \"total_secure\": 41, "
-      "\"num_attackers\": 4, \"num_destinations\": 4, \"pairs\": 12, "
-      "\"happy_lower\": 6, \"happy_upper\": 8, \"happy_sources\": 30, "
-      "\"doomed\": 2, \"protectable\": 4, \"immune\": 4, "
-      "\"partition_sources\": 10, \"dg_sources\": 0, "
-      "\"dg_secure_normal\": 0, \"dg_downgraded\": 1, "
-      "\"dg_secure_kept\": 0, \"dg_kept_and_immune\": 0, "
-      "\"col_insecure_sources\": 0, \"col_benefits\": 6, "
-      "\"col_damages\": 0, \"col_benefits_upper\": 0, "
-      "\"col_damages_upper\": 0, \"rc_sources\": 0, "
-      "\"rc_secure_normal\": 0, \"rc_downgraded\": 9, "
-      "\"rc_secure_wasted\": 0, \"rc_secure_protecting\": 0, "
-      "\"rc_collateral_benefits\": 0, \"rc_collateral_damages\": 0, "
-      "\"rc_happy_baseline\": 0, \"rc_happy_deployed\": 0, \"weight\": 36, "
-      "\"w_happy_lower\": 19, \"w_happy_upper\": 8, "
-      "\"w_happy_sources\": 30, \"w_doomed\": 2, \"w_protectable\": 4, "
-      "\"w_immune\": 12, \"w_partition_sources\": 10, \"w_dg_sources\": 0, "
-      "\"w_dg_secure_normal\": 0, \"w_dg_downgraded\": 1, "
-      "\"w_dg_secure_kept\": 0, \"w_dg_kept_and_immune\": 0, "
-      "\"w_col_insecure_sources\": 0, \"w_col_benefits\": 6, "
-      "\"w_col_damages\": 0, \"w_col_benefits_upper\": 0, "
-      "\"w_col_damages_upper\": 0, \"w_rc_sources\": 0, "
-      "\"w_rc_secure_normal\": 0, \"w_rc_downgraded\": 9, "
-      "\"w_rc_secure_wasted\": 0, \"w_rc_secure_protecting\": 0, "
-      "\"w_rc_collateral_benefits\": 0, \"w_rc_collateral_damages\": 0, "
-      "\"w_rc_happy_baseline\": 0, \"w_rc_happy_deployed\": 0}\n"
-      "]\n";
-  EXPECT_EQ(write(json_pin_rows(true), true), weighted);
+      weighted_header + "\n" + w_row0 + "\n" + w_row1 + "\n";
+  EXPECT_EQ(write(pin_rows(true), true), weighted);
   // The default overload picks the layout from the rows.
-  std::ostringstream picked;
-  write_trial_rows_json(picked, json_pin_rows(true));
-  EXPECT_EQ(picked.str(), weighted);
-  // Non-uniform weights do not fit the legacy layout.
-  EXPECT_THROW((void)write(json_pin_rows(true), false), std::logic_error);
+  std::ostringstream picked_legacy;
+  write_trial_rows_csv(picked_legacy, pin_rows(false));
+  EXPECT_EQ(picked_legacy.str(), legacy);
+  std::ostringstream picked_weighted;
+  write_trial_rows_csv(picked_weighted, pin_rows(true));
+  EXPECT_EQ(picked_weighted.str(), weighted);
+  // Non-uniform weights do not fit the legacy layout, through the writer
+  // or the streaming appender.
+  EXPECT_THROW((void)write(pin_rows(true), false), std::logic_error);
+  std::ostringstream streamed;
+  TrialRowCsvAppender appender(streamed, /*weighted=*/false);
+  EXPECT_THROW(appender.append(pin_rows(true)[0]), std::logic_error);
 }
 
-TEST(Campaign, AggregatedRowsRoundTripThroughCsvAndJson) {
+TEST(Campaign, AggregatedRowsRoundTripThroughCsv) {
   const CampaignResult result = run_campaign(small_campaign(3));
   ASSERT_FALSE(result.rows.empty());
   EXPECT_EQ(result.rows.front().trials, 3u);
@@ -364,11 +293,6 @@ TEST(Campaign, AggregatedRowsRoundTripThroughCsvAndJson) {
   write_campaign_rows_csv(csv, result.rows);
   std::istringstream csv_in(csv.str());
   EXPECT_EQ(read_campaign_rows_csv(csv_in), result.rows);
-
-  std::ostringstream json;
-  write_campaign_rows_json(json, result.rows);
-  std::istringstream json_in(json.str());
-  EXPECT_EQ(read_campaign_rows_json(json_in), result.rows);
 }
 
 TEST(Campaign, ReadersRejectMalformedInput) {
@@ -376,10 +300,6 @@ TEST(Campaign, ReadersRejectMalformedInput) {
   EXPECT_THROW((void)read_trial_rows_csv(bad_header), std::invalid_argument);
   std::istringstream empty("");
   EXPECT_THROW((void)read_campaign_rows_csv(empty), std::invalid_argument);
-  std::istringstream bad_json("{\"not\": \"an array\"}");
-  EXPECT_THROW((void)read_trial_rows_json(bad_json), std::invalid_argument);
-  std::istringstream truncated("[{\"topology\": \"x\"");
-  EXPECT_THROW((void)read_trial_rows_json(truncated), std::invalid_argument);
 }
 
 TEST(Campaign, CsvReadersRejectALineCutBeforeItsNewline) {
@@ -646,8 +566,8 @@ TEST(Campaign, AdaptiveBudgetExhaustionReportsBudgetReason) {
 
 TEST(Campaign, FixedWavePartitioningKeepsBytesIdentical) {
   // wave_size on a fixed campaign only partitions the schedule; rows,
-  // aggregates and all four serializations must stay byte-identical to
-  // the single-wave run.
+  // aggregates and both serializations must stay byte-identical to the
+  // single-wave run.
   CampaignSpec campaign = small_campaign(3);
   CampaignSpec waved = campaign;
   waved.wave_size = 1;
@@ -658,13 +578,9 @@ TEST(Campaign, FixedWavePartitioningKeepsBytesIdentical) {
   const auto serialize = [](const CampaignResult& r) {
     std::ostringstream csv;
     write_trial_rows_csv(csv, r.trial_rows);
-    std::ostringstream json;
-    write_trial_rows_json(json, r.trial_rows);
     std::ostringstream agg_csv;
     write_campaign_rows_csv(agg_csv, r.rows);
-    std::ostringstream agg_json;
-    write_campaign_rows_json(agg_json, r.rows);
-    return csv.str() + json.str() + agg_csv.str() + agg_json.str();
+    return csv.str() + agg_csv.str();
   };
   EXPECT_EQ(serialize(a), serialize(b));
 }
@@ -728,7 +644,7 @@ TEST(Campaign, AdaptiveConfigValidation) {
 }
 
 TEST(Campaign, AggregatedReadersRejectLegacySchemas) {
-  // The readers accept only the current aggregated schema. Each older
+  // The reader accepts only the current aggregated schema. Each older
   // generation — without the weighted metric columns, then also without
   // stopping_reason, then also without failed_trials — must be rejected
   // rather than read back with default values.
@@ -765,85 +681,6 @@ TEST(Campaign, AggregatedReadersRejectLegacySchemas) {
     std::istringstream in(*text);
     EXPECT_THROW((void)read_campaign_rows_csv(in), std::invalid_argument);
   }
-
-  std::ostringstream json;
-  write_campaign_rows_json(json, result.rows);
-  const auto strip_json_key = [](std::string text, const std::string& frag) {
-    for (std::size_t pos = text.find(frag); pos != std::string::npos;
-         pos = text.find(frag)) {
-      text.erase(pos, frag.size());
-    }
-    return text;
-  };
-  // Drop the whole weighted_metrics object: it starts at its key and ends
-  // at the matching close brace (no nested strings to worry about — the
-  // writer emits only metric names and numbers inside).
-  const auto strip_weighted_metrics = [](std::string text) {
-    const std::string key = ", \"weighted_metrics\": {";
-    for (std::size_t pos = text.find(key); pos != std::string::npos;
-         pos = text.find(key)) {
-      std::size_t end = pos + key.size();
-      int depth = 1;
-      while (end < text.size() && depth > 0) {
-        if (text[end] == '{') ++depth;
-        if (text[end] == '}') --depth;
-        ++end;
-      }
-      text.erase(pos, end - pos);
-    }
-    return text;
-  };
-  const std::string jgen3 = strip_weighted_metrics(json.str());
-  const std::string jgen2 =
-      strip_json_key(jgen3, ", \"stopping_reason\": \"fixed\"");
-  const std::string jgen1 = strip_json_key(jgen2, ", \"failed_trials\": 0");
-  for (const std::string* text : {&jgen3, &jgen2, &jgen1}) {
-    ASSERT_NE(*text, json.str());
-    std::istringstream in(*text);
-    EXPECT_THROW((void)read_campaign_rows_json(in), std::invalid_argument);
-  }
-}
-
-/// Feeds `text`, with the first occurrence of `from` replaced by `to`, to
-/// `read`, which must throw std::invalid_argument.
-template <typename Read>
-void expect_edit_rejected(Read read, std::string text, const std::string& from,
-                          const std::string& to) {
-  const std::size_t pos = text.find(from);
-  ASSERT_NE(pos, std::string::npos) << from;
-  text.replace(pos, from.size(), to);
-  std::istringstream in(text);
-  EXPECT_THROW((void)read(in), std::invalid_argument) << to;
-}
-
-TEST(Campaign, TrialRowJsonReaderChecksValueKinds) {
-  // A value of the wrong JSON kind is rejected, not read as a default
-  // (e.g. "hysteresis": 1 as false).
-  const CampaignResult result = run_campaign(small_campaign(2));
-  std::ostringstream json;
-  write_trial_rows_json(json, result.trial_rows);
-  const auto reject = [&](const std::string& from, const std::string& to) {
-    expect_edit_rejected(read_trial_rows_json, json.str(), from, to);
-  };
-  reject("\"hysteresis\": false", "\"hysteresis\": 1");
-  reject("\"hysteresis\": false", "\"hysteresis\": \"true\"");
-  reject("\"trial\": 0", "\"trial\": \"0\"");
-  reject("\"pairs\": ", "\"pairs\": true, \"x\": ");
-  reject("\"label\": \"", "\"label\": 7, \"x\": \"");
-}
-
-TEST(Campaign, AggregatedJsonReaderChecksValueKinds) {
-  const CampaignResult result = run_campaign(small_campaign(2));
-  std::ostringstream json;
-  write_campaign_rows_json(json, result.rows);
-  const auto reject = [&](const std::string& from, const std::string& to) {
-    expect_edit_rejected(read_campaign_rows_json, json.str(), from, to);
-  };
-  reject("\"trials\": 2", "\"trials\": \"2\"");
-  reject("\"failed_trials\": 0", "\"failed_trials\": false");
-  reject("\"stopping_reason\": \"fixed\"", "\"stopping_reason\": 0");
-  reject("\"mean\": ", "\"mean\": \"0\", \"x\": ");
-  reject("\"metrics\": {", "\"metrics\": 1, \"x\": {");
 }
 
 TEST(Campaign, AdaptiveRowsSurviveSerializationRoundTrip) {
@@ -860,11 +697,6 @@ TEST(Campaign, AdaptiveRowsSurviveSerializationRoundTrip) {
   EXPECT_NE(csv.str().find("converged"), std::string::npos);
   std::istringstream csv_in(csv.str());
   EXPECT_EQ(read_campaign_rows_csv(csv_in), result.rows);
-
-  std::ostringstream json;
-  write_campaign_rows_json(json, result.rows);
-  std::istringstream json_in(json.str());
-  EXPECT_EQ(read_campaign_rows_json(json_in), result.rows);
 }
 
 }  // namespace

@@ -333,6 +333,17 @@ TEST(Csv, FieldQuotingRoundTrips) {
   EXPECT_THROW((void)csv_field("a\nb"), std::invalid_argument);
 }
 
+TEST(Csv, SplitRejectsTextAfterClosingQuote) {
+  // A quoted field ends at its closing quote. Text glued on after it would
+  // otherwise be read into the field: `a,"b"c,d` as [a] [bc] [d].
+  for (const char* bad : {"a,\"b\"c,d", "\"q\" ,1", "\"q\"\"\"x", "x,\"\"y"}) {
+    EXPECT_THROW((void)split_csv_line(bad), std::invalid_argument) << bad;
+  }
+  const std::vector<std::string> ok{"a", "b,c", "", "d\"e"};
+  EXPECT_EQ(split_csv_line("a,\"b,c\",\"\",\"d\"\"e\""), ok);
+  EXPECT_EQ(split_csv_line("\"q\""), std::vector<std::string>{"q"});
+}
+
 TEST(Csv, DoubleFormattingRoundTripsExactly) {
   for (const double v : {0.1, 1.0 / 3.0, -2.5e-17, 12345.678901234567}) {
     EXPECT_EQ(parse_double(format_double(v)), v);

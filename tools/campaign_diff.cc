@@ -4,13 +4,13 @@
 //   campaign_diff [--abs-tol T] [--stderr-scale S] [--adaptive]
 //                 <baseline> <candidate>
 //
-// Each file may hold per-trial rows or aggregated rows, as CSV or JSON
-// (sim/campaign_io.h formats); kind and format are detected from the
-// content, and both files must hold the same kind. Per-trial rows (raw
-// integer counters) are compared exactly, column by column; aggregated
-// rows are compared per metric within --abs-tol plus --stderr-scale times
-// the rows' combined standard error (both default 0: exact; each must be a
-// finite number >= 0).
+// Each file may hold per-trial rows or aggregated rows (the CSV formats of
+// sim/campaign_io.h); the kind is detected from the content, and both
+// files must hold the same kind. Per-trial rows (raw integer counters) are
+// compared exactly, column by column; aggregated rows are compared per
+// metric within --abs-tol plus --stderr-scale times the rows' combined
+// standard error (both default 0: exact; each must be a finite number
+// >= 0).
 //
 // --adaptive compares an adaptive (sequentially-stopped) run against a
 // fixed baseline: realized trial counts and stopping reasons are reported
@@ -41,9 +41,9 @@ void print_usage(std::ostream& os) {
   os << "usage: campaign_diff [--abs-tol T] [--stderr-scale S] [--adaptive]"
         " <baseline> <candidate>\n"
         "\n"
-        "Compares two serialized campaign row sets (CSV or JSON, per-trial\n"
-        "or aggregated — detected from the content; both files must hold\n"
-        "the same kind). Per-trial rows are compared exactly; aggregated\n"
+        "Compares two serialized campaign row sets (CSV, per-trial or\n"
+        "aggregated — detected from the content; both files must hold the\n"
+        "same kind). Per-trial rows are compared exactly; aggregated\n"
         "metric summaries within abs-tol + stderr-scale * combined stderr.\n"
         "T and S are finite decimal numbers >= 0 (default 0: exact); inf,\n"
         "nan and out-of-range values are rejected.\n"
@@ -58,9 +58,9 @@ void print_usage(std::ostream& os) {
 using RowSet =
     std::variant<std::vector<CampaignTrialRow>, std::vector<CampaignRow>>;
 
-/// Loads `path`, detecting JSON vs CSV (leading '[') and per-trial vs
-/// aggregated (whichever reader accepts). Throws std::invalid_argument
-/// with both readers' complaints when neither accepts.
+/// Loads `path`, detecting per-trial vs aggregated rows (whichever reader
+/// accepts). Throws std::invalid_argument with both readers' complaints
+/// when neither accepts.
 RowSet load_rows(const std::string& path) {
   std::ifstream in(path);
   if (!in.is_open()) {
@@ -70,26 +70,16 @@ RowSet load_rows(const std::string& path) {
   buffer << in.rdbuf();
   const std::string text = buffer.str();
 
-  std::size_t first = 0;
-  while (first < text.size() &&
-         (text[first] == ' ' || text[first] == '\t' || text[first] == '\n' ||
-          text[first] == '\r')) {
-    ++first;
-  }
-  const bool json = first < text.size() && text[first] == '[';
-
   std::string trial_error;
   try {
     std::istringstream is(text);
-    return json ? sbgp::sim::read_trial_rows_json(is)
-                : sbgp::sim::read_trial_rows_csv(is);
+    return sbgp::sim::read_trial_rows_csv(is);
   } catch (const std::invalid_argument& e) {
     trial_error = e.what();
   }
   try {
     std::istringstream is(text);
-    return json ? sbgp::sim::read_campaign_rows_json(is)
-                : sbgp::sim::read_campaign_rows_csv(is);
+    return sbgp::sim::read_campaign_rows_csv(is);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument("'" + path +
                                 "' holds neither per-trial rows (" +
