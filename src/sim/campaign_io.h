@@ -32,9 +32,9 @@ namespace sbgp::sim {
 // w_X = X) from legacy files — which is exactly what those files mean.
 
 /// Column names of the FULL per-trial row schema (weighted generation) in
-/// serialization order — the CSV header fields. Shared
-/// by the writers, the header-checking readers, and the baseline differ
-/// (campaign_diff.h). The legacy generation is a strict prefix.
+/// serialization order — the CSV header fields. Shared by the writers, the
+/// header-checking readers, and the baseline differ (campaign_diff.h). The
+/// legacy generation is a strict prefix.
 [[nodiscard]] const std::vector<std::string>& trial_row_columns();
 
 /// One row's values as strings aligned with trial_row_columns(): exactly
